@@ -124,6 +124,15 @@ class BooleanAlgebra(abc.ABC, Generic[E]):
         """``True`` iff ``a & b != 0`` — the spatial overlay predicate."""
         return not self.disjoint(a, b)
 
+    def overlaps_complement(self, a: E, b: E) -> bool:
+        """``True`` iff ``~a & b != 0``, i.e. ``b`` is not within ``a``.
+
+        The second half of a solved disequation; ``a`` goes through
+        :meth:`complement`, so carriers that check membership of their
+        universe there still do.
+        """
+        return self.overlaps(self.complement(a), b)
+
     def join_all(self, items: Iterable[E]) -> E:
         """Join of an iterable (``0`` for the empty iterable)."""
         acc = self.bot

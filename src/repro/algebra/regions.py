@@ -40,9 +40,9 @@ def box_subtract(a: Box, b: Box) -> List[Box]:
     """
     if a.is_empty():
         return []
-    inter = a.meet(b)
-    if inter.is_empty():
+    if not a.overlaps(b):
         return [a]
+    inter = a.meet(b)
     out: List[Box] = []
     lo = list(a.lo)
     hi = list(a.hi)
@@ -51,13 +51,13 @@ def box_subtract(a: Box, b: Box) -> List[Box]:
             piece_lo = list(lo)
             piece_hi = list(hi)
             piece_hi[d] = inter.lo[d]
-            out.append(Box(piece_lo, piece_hi))
+            out.append(Box._trusted(tuple(piece_lo), tuple(piece_hi), False))
             lo[d] = inter.lo[d]
         if inter.hi[d] < hi[d]:
             piece_lo = list(lo)
             piece_hi = list(hi)
             piece_lo[d] = inter.hi[d]
-            out.append(Box(piece_lo, piece_hi))
+            out.append(Box._trusted(tuple(piece_lo), tuple(piece_hi), False))
             hi[d] = inter.hi[d]
     return out
 
@@ -87,8 +87,8 @@ class Region:
     @classmethod
     def _trusted(cls, boxes: Tuple[Box, ...]) -> "Region":
         """Construct from known-disjoint, known-nonempty, same-dimension
-        boxes (the snapshot load path); skips the constructor's filter
-        and mixed-dimension check."""
+        boxes (the snapshot load path, :meth:`RegionAlgebra.meet`);
+        skips the constructor's filter and mixed-dimension check."""
         region = cls.__new__(cls)
         object.__setattr__(region, "boxes", boxes)
         return region
@@ -167,6 +167,32 @@ class Region:
         return Region(tuple(b.translate(offset) for b in self.boxes))
 
 
+def _overlap(a: Region, b: Region) -> bool:
+    """``a ∩ b ≠ ∅``, decided box pair by box pair without allocating."""
+    for ba in a.boxes:
+        for bb in b.boxes:
+            if ba.overlaps(bb):
+                return True
+    return False
+
+
+def _escapes(a: Region, b: Region) -> bool:
+    """``a \\ b ≠ ∅``: stops at the first box of ``a`` that ``b``
+    does not cover, instead of building the whole difference."""
+    for box in a.boxes:
+        pieces = [box]
+        for cut in b.boxes:
+            nxt: List[Box] = []
+            for piece in pieces:
+                nxt.extend(box_subtract(piece, cut))
+            pieces = nxt
+            if not pieces:
+                break
+        if pieces:
+            return True
+    return False
+
+
 def _difference(a: Region, b: Region) -> Region:
     pieces: List[Box] = list(a.boxes)
     for cut in b.boxes:
@@ -218,10 +244,9 @@ class RegionAlgebra(BooleanAlgebra[Region]):
         out: List[Box] = []
         for ba in a.boxes:
             for bb in b.boxes:
-                inter = ba.meet(bb)
-                if not inter.is_empty():
-                    out.append(inter)
-        return Region(out)
+                if ba.overlaps(bb):
+                    out.append(ba.meet(bb))
+        return Region._trusted(tuple(out))
 
     def join(self, a: Region, b: Region) -> Region:
         self.ops.join += 1
@@ -250,6 +275,22 @@ class RegionAlgebra(BooleanAlgebra[Region]):
 
     def is_zero(self, a: Region) -> bool:
         return a.is_empty()
+
+    # The comparisons below decide their answer without materialising
+    # the intersection or difference they stand for, so each bills one
+    # comparison rather than the meet it no longer performs.
+    def le(self, a: Region, b: Region) -> bool:
+        self.ops.comparisons += 1
+        return not _escapes(a, b)
+
+    def disjoint(self, a: Region, b: Region) -> bool:
+        self.ops.comparisons += 1
+        return not _overlap(a, b)
+
+    def overlaps_complement(self, a: Region, b: Region) -> bool:
+        self._check(a)
+        self.ops.comparisons += 1
+        return _escapes(b, a)
 
     def eq(self, a: Region, b: Region) -> bool:
         self.ops.comparisons += 1

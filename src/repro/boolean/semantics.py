@@ -46,13 +46,17 @@ def evaluate(f: Formula, algebra, env: Mapping[str, object]):
     if isinstance(f, Not):
         return algebra.complement(evaluate(f.arg, algebra, env))
     if isinstance(f, And):
-        acc = algebra.top
-        for a in f.args:
+        if not f.args:
+            return algebra.top
+        acc = evaluate(f.args[0], algebra, env)
+        for a in f.args[1:]:
             acc = algebra.meet(acc, evaluate(a, algebra, env))
         return acc
     if isinstance(f, Or):
-        acc = algebra.bot
-        for a in f.args:
+        if not f.args:
+            return algebra.bot
+        acc = evaluate(f.args[0], algebra, env)
+        for a in f.args[1:]:
             acc = algebra.join(acc, evaluate(a, algebra, env))
         return acc
     raise TypeError(f"not a formula: {f!r}")

@@ -167,7 +167,7 @@ class Box:
             return EMPTY_BOX
         lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
         hi = tuple(min(b, d) for b, d in zip(self.hi, other.hi))
-        return Box(lo, hi)
+        return Box._trusted(lo, hi)
 
     def enclose(self, other: "Box") -> "Box":
         """``⊔`` — minimal enclosing box of the union (not set union)."""
@@ -196,8 +196,19 @@ class Box:
         return other.le(self)
 
     def overlaps(self, other: "Box") -> bool:
-        """``self ⊓ other != empty`` — the overlay predicate."""
-        return not self.meet(other).is_empty()
+        """``self ⊓ other != empty`` — the overlay predicate.
+
+        Decided on the coordinates, without building the meet: the
+        half-open boxes overlap iff ``max(lo) < min(hi)`` in every
+        dimension.
+        """
+        self._require_compatible(other)
+        if self._empty or other._empty:
+            return False
+        for a, b, c, d in zip(self.lo, self.hi, other.lo, other.hi):
+            if max(a, c) >= min(b, d):
+                return False
+        return True
 
     # -- distance metrics (nearest-neighbor search) -----------------------------------------
     def mindist_point(self, point: Sequence[float]) -> float:

@@ -14,6 +14,13 @@ variables only:
 
 In the paper's containment notation, ``x∧p ≠ 0`` is ``x ⊄ ¬p`` and
 ``¬x∧q ≠ 0`` is ``q ⊄ x``; we carry the pair ``(p, q)`` directly.
+
+Since ``s``, ``t``, ``p_j`` and ``q_j`` mention only earlier variables,
+checking ``C_i`` splits in two: a :class:`SolvedPrefix` holds their
+values for one binding of ``x_1..x_{i-1}`` (each evaluated on first use),
+and :meth:`SolvedConstraint.holds` compares each candidate ``x_i``
+against it.  An executor that extends one parent binding by many
+candidates prepares the prefix once and passes it to every check.
 """
 
 from __future__ import annotations
@@ -46,16 +53,6 @@ class Disequation:
 
         v = Var(x)
         return disj(conj(v, self.p), conj(neg(v), self.q))
-
-    def holds(self, algebra, value, env: Mapping[str, object]) -> bool:
-        """Evaluate with ``value`` bound to the solved variable."""
-        pv = evaluate(self.p, algebra, env)
-        if not algebra.is_zero(algebra.meet(value, pv)):
-            return True
-        qv = evaluate(self.q, algebra, env)
-        return not algebra.is_zero(
-            algebra.meet(algebra.complement(value), qv)
-        )
 
     def render(self, x: str) -> str:
         """Human-readable rendering."""
@@ -102,18 +99,43 @@ class SolvedConstraint:
         """``True`` when the range part is ``0 ⊆ x ⊆ 1``."""
         return self.lower == FALSE and self.upper == TRUE
 
-    def holds(self, algebra, value, env: Mapping[str, object]) -> bool:
+    def prepare(
+        self, algebra, env: Mapping[str, object]
+    ) -> "SolvedPrefix":
+        """The per-parent part of ``C_i`` over ``env``'s binding of the
+        earlier variables (and constants); see :class:`SolvedPrefix`."""
+        return SolvedPrefix(self, algebra, env)
+
+    def holds(
+        self,
+        algebra,
+        value,
+        env: Optional[Mapping[str, object]] = None,
+        prefix: Optional["SolvedPrefix"] = None,
+    ) -> bool:
         """Check ``C_i`` exactly with ``value`` for the solved variable.
 
-        ``env`` must bind every earlier variable (and any constants).
+        Pass either ``env``, which must bind every earlier variable (and
+        any constants), or a ``prefix`` prepared from such an ``env`` by
+        :meth:`prepare` for this constraint and ``algebra``.  The checks
+        run in the paper's order — lower bound, upper bound, then each
+        disequation's ``x∧p``, then its ``¬x∧q`` — and stop at the first
+        that decides; a vacuous ``0 ⊆ x`` or ``x ⊆ 1`` is skipped.
         """
-        lo = evaluate(self.lower, algebra, env)
-        if not algebra.le(lo, value):
+        if prefix is None:
+            prefix = self.prepare(algebra, env)
+        at = prefix.value
+        if prefix.check_lower and not algebra.le(at(0), value):
             return False
-        hi = evaluate(self.upper, algebra, env)
-        if not algebra.le(value, hi):
+        if prefix.check_upper and not algebra.le(value, at(1)):
             return False
-        return all(r.holds(algebra, value, env) for r in self.disequations)
+        for j in range(2, len(prefix.formulas), 2):
+            if not (
+                algebra.overlaps(value, at(j))
+                or algebra.overlaps_complement(value, at(j + 1))
+            ):
+                return False
+        return True
 
     def render(self) -> str:
         """Multi-line human-readable rendering, paper style."""
@@ -124,6 +146,55 @@ class SolvedConstraint:
 
     def __str__(self) -> str:
         return self.render()
+
+
+_UNSET = object()
+
+
+class SolvedPrefix:
+    """``C_i``'s formulas evaluated over one binding of the earlier
+    variables: ``lower``, ``upper``, then ``p_j``, ``q_j`` per
+    disequation (the order of :attr:`formulas`).
+
+    Each value is computed on first use and kept, so the checks of the
+    candidates sharing this binding evaluate each formula at most once
+    between them, and a formula no check reaches is never evaluated.  A
+    formula naming a variable ``env`` lacks raises ``KeyError`` from the
+    check that first needs it, every time (nothing is kept on failure).
+    The prefix belongs to the caller that prepared it: share it only
+    among checks with the same ``env`` values.
+    """
+
+    __slots__ = (
+        "algebra",
+        "env",
+        "formulas",
+        "check_lower",
+        "check_upper",
+        "_values",
+    )
+
+    def __init__(
+        self, constraint: SolvedConstraint, algebra, env: Mapping[str, object]
+    ) -> None:
+        self.algebra = algebra
+        self.env = env
+        formulas = [constraint.lower, constraint.upper]
+        for r in constraint.disequations:
+            formulas += (r.p, r.q)
+        self.formulas: Tuple[Formula, ...] = tuple(formulas)
+        self.check_lower = constraint.lower != FALSE
+        self.check_upper = constraint.upper != TRUE
+        self._values: List[object] = [_UNSET] * len(formulas)
+
+    def value(self, i: int):
+        """The value of ``formulas[i]`` under ``env`` (memoised)."""
+        v = self._values[i]
+        if v is _UNSET:
+            v = self._values[i] = evaluate(
+                self.formulas[i], self.algebra, self.env
+            )
+        return v
 
 
 def solve_for(

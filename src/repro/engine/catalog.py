@@ -460,10 +460,11 @@ class TableStatistics:
         rows = tuple(pool) if pool is not None else self.sample
         if not rows:
             return 0.0, ()
+        prefix = solved.prepare(algebra, env)
         holding = []
         for obj in rows:
             try:
-                ok = solved.holds(algebra, obj.region, env)
+                ok = solved.holds(algebra, obj.region, prefix=prefix)
             except KeyError:
                 ok = True
             if ok:

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..boxes.box import Box, enclose_all
-from ..constraints.solved import SolvedConstraint
+from ..constraints.solved import SolvedConstraint, SolvedPrefix
 from ..constraints.system import ConstraintSystem
 from ..errors import UnknownModeError
 from ..spatial import columnar
@@ -1137,16 +1137,33 @@ class ExactFilter(PhysicalOperator):
     def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
         self.stats.executed = True
         algebra = ctx.algebra
+        solved = self.solved
+        # A step filter's C_i reads only the earlier variables, so the
+        # candidates of one parent binding share its prepared prefix.
+        # Rows are compared by identity: SpatialObject equality compares
+        # regions.  The prefix lives for this pull only.
+        earlier = (
+            tuple(sorted(solved.earlier_variables()))
+            if solved is not None
+            else ()
+        )
+        parents: Tuple[Optional[SpatialObject], ...] = ()
+        prefix: Optional[SolvedPrefix] = None
         for binding in self.child.iterate(ctx):
             self.stats.rows_in += 1
-            env = ctx.region_env(binding)
             before = algebra.ops.total
-            if self.solved is not None:
-                ok = self.solved.holds(
-                    algebra, binding[self.variable].region, env
+            if solved is not None:
+                rows = tuple(binding.get(name) for name in earlier)
+                if prefix is None or any(
+                    a is not b for a, b in zip(rows, parents)
+                ):
+                    prefix = solved.prepare(algebra, ctx.region_env(binding))
+                    parents = rows
+                ok = solved.holds(
+                    algebra, binding[self.variable].region, prefix=prefix
                 )
             else:
-                ok = self.system.holds(algebra, env)
+                ok = self.system.holds(algebra, ctx.region_env(binding))
             self.stats.region_ops += algebra.ops.total - before
             if ok:
                 self.stats.rows_out += 1

@@ -86,6 +86,20 @@ class TestBox:
         with pytest.raises(ValueError):
             meet_all([])
 
+    @given(boxes(), boxes())
+    @settings(max_examples=200)
+    def test_overlaps_is_nonempty_meet(self, a, b):
+        assert a.overlaps(b) == (not a.meet(b).is_empty())
+        assert a.overlaps(b) == b.overlaps(a)
+
+    def test_overlaps_half_open_and_dimension_checked(self):
+        a = Box((0, 0), (1, 1))
+        assert not a.overlaps(Box((1, 0), (2, 1)))  # shared edge only
+        assert a.overlaps(Box((0.5, 0.5), (2, 2)))
+        assert not a.overlaps(EMPTY_BOX)
+        with pytest.raises(DimensionMismatchError):
+            a.overlaps(Box((0,), (1,)))
+
     @given(nonempty_boxes(), nonempty_boxes(), nonempty_boxes())
     @settings(max_examples=80)
     def test_lattice_laws(self, a, b, c):
@@ -205,6 +219,22 @@ class TestRegionAlgebra:
         assert p.measure() == pytest.approx(4.0)
         assert alg.is_zero(alg.meet(p, q))
         assert alg.eq(alg.join(p, q), cube)
+
+    @given(region_elements(), region_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_comparisons_match_materialised_results(self, a, b):
+        alg = PLANE
+        assert alg.le(a, b) == alg.is_zero(alg.diff(a, b))
+        assert alg.overlaps(a, b) == (not alg.is_zero(alg.meet(a, b)))
+        assert alg.overlaps_complement(a, b) == (
+            not alg.is_zero(alg.meet(alg.complement(a), b))
+        )
+
+    def test_overlaps_complement_rejects_outside(self):
+        alg = RegionAlgebra(Box((0, 0), (1, 1)))
+        outside = Region.from_box(Box((0, 0), (5, 5)))
+        with pytest.raises(UniverseMismatchError):
+            alg.overlaps_complement(outside, alg.bot)
 
     @given(region_elements(), region_elements())
     @settings(max_examples=50, deadline=None)
