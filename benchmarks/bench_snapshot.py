@@ -4,7 +4,7 @@
 The point of :mod:`repro.spatial.snapshot` is that a resident service
 restarts from disk instead of re-running the whole cold start: workload
 construction (region disjointing), the STR bulk load, the statistics
-scan, and the partitioning sort.  This bench times both paths on the
+scan, and the sharding sort.  This bench times both paths on the
 smugglers workload across a scale ladder and enforces the CI gate:
 
     at the largest scale, ``Database.open`` must cost **≤ 25%** of the
@@ -52,7 +52,9 @@ REPS = int(os.environ.get("REPRO_BENCH_SNAPSHOT_REPS", "3"))
 #: The CI gate: snapshot load ≤ 25% of the full build at the largest scale.
 LOAD_GATE = 0.25
 
-#: Partitioning granularity both paths warm (the service's default-ish).
+#: STR shard count both paths warm (the service's default-ish).  The
+#: sharding is lazy: warming it sorts the tiles; no shard sub-table is
+#: built on either side.
 PARTITIONS = 8
 
 STATES_GRID = (6, 6)
@@ -66,7 +68,7 @@ def _full_build(size: int):
     )
     for table in query.tables.values():
         table.statistics()
-        table.partitioning(PARTITIONS)
+        table.sharding(PARTITIONS)
     return query
 
 
@@ -86,7 +88,7 @@ def bench_scale(size: int, workdir: str) -> dict:
 
     db = Database.from_query(query)
     path = os.path.join(workdir, f"snapshot_{size}.json")
-    db.save(path, partitions=PARTITIONS)
+    db.save(path, shards=PARTITIONS)
 
     load_times = []
     for _ in range(REPS):
@@ -122,7 +124,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "sizes": SIZES,
         "reps": REPS,
-        "partitions": PARTITIONS,
+        "shards": PARTITIONS,
         "gate": {
             "threshold": LOAD_GATE,
             "size": largest["size"],

@@ -18,7 +18,6 @@ from repro.engine import (
     compile_query,
     execute,
     execute_iter,
-    first_k,
 )
 
 
@@ -85,7 +84,7 @@ def test_probe_comparison(benchmark):
     q, plan = _plan()
     for t in q.tables.values():
         t.reset_stats()
-    first_k(plan, 1)
+    list(execute_iter(plan, "boxplan", limit=1))
     probes_first = sum(t.probes for t in q.tables.values())
     for t in q.tables.values():
         t.reset_stats()

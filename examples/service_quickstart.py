@@ -4,8 +4,8 @@
 The workflow a resident deployment uses:
 
 1. build the smugglers workload once and ``Database.save`` it — rows,
-   the packed R-tree's node arrays, statistics, and partitioning go
-   into one versioned snapshot file;
+   the packed R-tree's node arrays, statistics, and the STR shard
+   membership go into one versioned snapshot file;
 2. ``Database.open`` that file (no STR rebuild, no statistics scan) and
    serve it from the asyncio query service;
 3. run queries over HTTP with the blocking client — each reply carries
@@ -36,7 +36,7 @@ def main() -> None:
     db = Database.from_query(query)
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "smugglers.snapshot.json")
-        db.save(path, partitions=4)
+        db.save(path, shards=4)
         print(f"saved snapshot: {os.path.getsize(path)} bytes")
 
         # --------------------------------------------------------------

@@ -10,19 +10,18 @@ Usage::
                              [--no-pack] [--split rstar]
                              [--order-strategy histogram]
                              [--stream] [--limit K] [--probe-cache N]
-                             [--partitions N] [--parallel W] [--join auto]
-                             [--shards S] [--spill N] [--parallel-kind thread]
+                             [--shards S] [--join auto] [--parallel W]
+                             [--spill N] [--parallel-kind thread]
                              [--knn K] [--agg count,min:T] [--agg-box]
                              [--mutate N] [--delta-threshold N]
     python -m repro explain  [--workload ...] [--mode boxplan] [--analyze]
-                             [--partitions N] [--parallel W] [--join pbsm]
-                             [--shards S] [--spill N]
+                             [--shards S] [--join shardjoin] [--parallel W]
+                             [--spill N]
                              [--knn K] [--agg count] [--group-by B]
     python -m repro run      [--workload ...] [--stream] [--limit K]
-                             [--partitions N] [--parallel W]
-                             [--shards S] [--spill N]
+                             [--shards S] [--parallel W] [--spill N]
                              [--knn K [--knn-ref T]] [--agg count]
-    python -m repro save     OUT [--workload ...] [--partitions N]
+    python -m repro save     OUT [--workload ...] [--shards S]
     python -m repro load     SNAPSHOT [--json]
     python -m repro serve    [SNAPSHOT] [--workload ...] [--host H]
                              [--port P] [--cache N]
@@ -39,17 +38,18 @@ baseline the benchmarks compare against.  ``--stream`` executes through
 the streaming iterator and reports time-to-first-answer alongside the
 total.
 
-``--partitions N`` enables spatial partitioning (STR partitions /
-PBSM tiles), ``--parallel W`` fans PBSM tile tasks over a W-worker
-pool (answers are identical to serial execution), and ``--join``
-forces a per-step join algorithm — by default the cost-based planner
-picks one per step whenever partitioning or parallelism is enabled.
+Unsharded plans have one access path per step, ``probe`` (an index
+range query per partial tuple; a vectorized scan on unindexed tables).
 ``--shards S`` switches to sharded scale-out execution: each table is
-STR-split into S shards (own R-tree each) and joined through the MBR
-semi-join coordinator, ``--parallel-kind process`` runs shard sweeps on
-a process pool with shared-memory shard columns, and ``--spill N``
-bounds the join's resident probe memory by spilling buckets to disk
-tiles.  Answers are bit-identical to serial execution throughout.
+STR-split into S shards (own R-tree each) and every step runs as
+``shardscan`` (per-tuple probes into the surviving shards) or
+``shardjoin`` (the MBR semi-join coordinator's bulk join) — picked per
+step by the cost-based planner unless ``--join`` forces one.
+``--parallel W`` fans shard sweeps over a W-worker pool,
+``--parallel-kind process`` runs them on a process pool with
+shared-memory shard columns, and ``--spill N`` bounds the join's
+resident probe memory by spilling buckets to disk tiles.  Answers are
+bit-identical to serial execution throughout.
 
 ``explain`` prints the physical operator tree for the chosen mode with
 catalog cost estimates; ``--analyze`` also executes the plan and
@@ -69,7 +69,8 @@ asks for the box-level COUNT, pushed down to the R-tree's subtree
 entry counts.
 
 ``save`` snapshots a built workload database (tables, packed R-trees,
-statistics, partitioning) to one JSON file; ``load`` prints a saved
+statistics, and with ``--shards`` the shard membership) to one JSON
+file; ``load`` prints a saved
 snapshot's summary; ``serve`` starts the resident query service on a
 snapshot (or on a freshly built workload when no snapshot is given) —
 see :mod:`repro.service`.
@@ -251,11 +252,7 @@ def _plan_workload(args):
             tables=query.tables,
             bindings=query.bindings,
         )
-        # With partitioning enabled, the histogram strategy also costs
-        # partition pruning when ranking retrieval orders.
-        order = plan_order(
-            unordered, strategy=strategy, partitions=args.partitions
-        )
+        order = plan_order(unordered, strategy=strategy)
     knn = _knn_step(args, query, order)
     aggregate = _aggregate_spec(args)
     if knn is not None or aggregate is not None:
@@ -322,17 +319,11 @@ def _probe_cache(args):
 
 
 def _physical_options(args) -> dict:
-    """Partitioned-execution keyword arguments for ``plan.physical``."""
-    join = args.join
-    if join is None and (args.partitions or args.parallel or args.shards):
-        # Partitioning/sharding/parallelism without an explicit
-        # algorithm choice delegates the per-step pick to the planner.
-        join = "auto"
+    """Sharded-execution keyword arguments for ``plan.physical``."""
     return {
-        "partitions": args.partitions,
         "parallel": args.parallel,
         "parallel_kind": args.parallel_kind,
-        "join_strategy": join,
+        "join_strategy": args.join,
         "shards": args.shards,
         "spill": args.spill,
     }
@@ -375,7 +366,6 @@ def cmd_bench(args) -> int:
         "split": args.split,
         "order_strategy": strategy,
         "order": list(plan.order),
-        "partitions": pplan.partitions,
         "shards": pplan.shards,
         "spill": pplan.spill,
         "parallel": args.parallel,
@@ -394,12 +384,10 @@ def cmd_bench(args) -> int:
     else:
         print(f"workload={args.workload} size={args.size} mode={args.mode}")
         print(f"order ({strategy}): {', '.join(plan.order)}")
-        if args.partitions or args.parallel or args.shards:
-            layout = f"partitions={args.partitions or 'off'} "
-            if args.shards:
-                layout += f"shards={args.shards} "
-                if args.spill:
-                    layout += f"spill={args.spill} "
+        if args.parallel or args.shards:
+            layout = f"shards={args.shards or 'off'} "
+            if args.spill:
+                layout += f"spill={args.spill} "
             print(
                 layout
                 + f"parallel={args.parallel or 'serial'} "
@@ -478,7 +466,6 @@ def cmd_save(args) -> int:
     db.save(
         args.out,
         statistics=True,
-        partitions=args.partitions,
         shards=args.shards,
     )
     rows = sum(len(t) for t in db.tables.values())
@@ -601,36 +588,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="share an N-entry LRU probe cache across index probes",
         )
         p.add_argument(
-            "--partitions",
-            type=int,
-            default=0,
-            metavar="N",
-            help="enable spatial partitioning with ~N partitions/tiles "
-            "(0 = single-partition execution)",
-        )
-        p.add_argument(
             "--parallel",
             type=int,
             default=0,
             metavar="W",
-            help="fan PBSM tile tasks out over W pool workers "
+            help="fan shard sweeps out over W pool workers "
             "(0/1 = deterministic serial execution)",
         )
         p.add_argument(
             "--join",
-            choices=(
-                "auto",
-                "probe",
-                "partition",
-                "pbsm",
-                "zorder",
-                "shardscan",
-                "shardjoin",
-            ),
+            choices=("auto", "probe", "shardscan", "shardjoin"),
             default=None,
-            help="per-step join algorithm (default: backend-dependent; "
-            "'auto' picks cost-based per step; shardscan/shardjoin "
-            "need --shards)",
+            help="per-step access path (default 'auto': probe unsharded, "
+            "the planner's cost-based pick with --shards; "
+            "shardscan/shardjoin need --shards)",
         )
         p.add_argument(
             "--shards",

@@ -1,9 +1,9 @@
 """The public ``Database``/``Session`` facade.
 
 The library grew bottom-up — tables, compiler, physical plans, caches,
-partitioning — and each capability shipped with its own entry point
-(``run_query``, ``execute``, ``plan.physical(...)``, CLI flags).  This
-module is the one front door over all of it:
+sharding — and each capability shipped with its own entry point
+(``execute``, ``plan.physical(...)``, CLI flags).  This module is the
+one front door over all of it:
 
 * a :class:`Database` owns named tables and named constant-region
   bindings, turns constraint text (or a
@@ -13,17 +13,14 @@ module is the one front door over all of it:
   (:meth:`Database.save` / :meth:`Database.open` — ~100ms warm load
   instead of a full STR build);
 * a :class:`Session` executes queries with one uniform keyword
-  vocabulary — ``mode=``, ``join_strategy=``, ``partitions=``,
-  ``parallel=``, ``parallel_kind=``, ``shards=``, ``spill=``,
-  ``limit=`` — matching the CLI flags one-for-one, with per-session
+  vocabulary — ``mode=``, ``join_strategy=``, ``parallel=``,
+  ``parallel_kind=``, ``shards=``, ``spill=``, ``limit=`` — matching
+  the CLI flags one-for-one, with per-session
   defaults and an optional shared
   :class:`~repro.spatial.table.ProbeCache`.  Parallel plans borrow the
   database's persistent :class:`~repro.spatial.partition.WorkerPool`
   (one per pool shape, alive until :meth:`Database.close`) instead of
   constructing a pool per query.
-
-The old entry points remain as thin deprecated shims (see
-:func:`repro.engine.executor.run_query`).
 """
 
 from __future__ import annotations
@@ -50,11 +47,10 @@ __all__ = ["Database", "QueryResult", "Session"]
 _UNSET = object()
 
 #: The uniform execution-option vocabulary (mirrors the CLI flags
-#: ``--mode``/``--join``/``--partitions``/``--parallel``/``--limit``).
+#: ``--mode``/``--join``/``--shards``/``--parallel``/``--limit``).
 SESSION_OPTIONS = (
     "mode",
     "join_strategy",
-    "partitions",
     "parallel",
     "parallel_kind",
     "shards",
@@ -66,7 +62,6 @@ SESSION_OPTIONS = (
 _OPTION_DEFAULTS = {
     "mode": "boxplan",
     "join_strategy": None,
-    "partitions": 0,
     "parallel": 0,
     "parallel_kind": "thread",
     "shards": 0,
@@ -172,25 +167,22 @@ class Database:
         self,
         path: str,
         statistics: bool = True,
-        partitions: int = 0,
         shards: int = 0,
     ) -> None:
         """Atomically snapshot every table and binding to ``path``.
 
         ``statistics=True`` (default) computes each table's default
         planner statistics first so the snapshot ships a warm catalog;
-        ``partitions > 0`` additionally computes and ships the STR
-        partitioning at that granularity, and ``shards > 0`` the
-        sharding (per-shard row membership — :meth:`open` rebuilds the
-        same shards without re-running the STR sort).
+        ``shards > 0`` additionally ships the STR sharding at that
+        granularity (per-shard row membership — :meth:`open` rebuilds
+        the same shards without re-running the STR sort, and builds
+        each shard's sub-table only when a query first probes it).
         """
         for table in self.tables.values():
             # Fold any pending write delta first: snapshots serialize
             # only packed base structures, and statistics computed here
             # must land in the base cache the snapshot ships.
             table.repack()
-            if partitions > 0:
-                table.partitioning(partitions)
             if shards > 0:
                 table.sharding(shards)
             if statistics:
@@ -291,9 +283,8 @@ class Session:
     Accepts a :class:`SpatialQuery`, a compiled
     :class:`~repro.engine.compiler.QueryPlan`, or — when constructed
     with a :class:`Database` — raw constraint text.  Keyword options
-    (``mode=``, ``join_strategy=``, ``partitions=``, ``parallel=``,
-    ``parallel_kind=``, ``shards=``, ``spill=``,
-    ``limit=``) match the CLI flags; constructor keywords set session
+    (``mode=``, ``join_strategy=``, ``parallel=``, ``parallel_kind=``,
+    ``shards=``, ``spill=``, ``limit=``) match the CLI flags; constructor keywords set session
     defaults, call keywords override per query.  ``probe_cache=N``
     shares an N-entry :class:`ProbeCache` across the session's probes
     (pass ``cache=`` to share an existing one, e.g. the service's).
@@ -325,7 +316,6 @@ class Session:
 
     def _physical_options(
         self,
-        partitions,
         parallel,
         join_strategy,
         vectorize=_UNSET,
@@ -333,27 +323,19 @@ class Session:
         spill=_UNSET,
         parallel_kind=_UNSET,
     ) -> dict:
-        partitions = self._option("partitions", partitions)
         parallel = self._option("parallel", parallel)
-        shards = self._option("shards", shards)
         kind = self._option("parallel_kind", parallel_kind)
-        join = self._option("join_strategy", join_strategy)
-        if join is None and (partitions or parallel or shards):
-            # Same default the CLI applies: partitioned execution with
-            # no explicit algorithm delegates the pick to the planner.
-            join = "auto"
         pool = None
         if self.db is not None and parallel:
             # Parallel plans borrow the database's persistent pool; a
             # detached session falls back to per-run executors.
             pool = self.db.worker_pool(parallel, kind)
         return {
-            "partitions": partitions,
             "parallel": parallel,
             "parallel_kind": kind,
-            "join_strategy": join,
+            "join_strategy": self._option("join_strategy", join_strategy),
             "vectorize": self._option("vectorize", vectorize),
-            "shards": shards,
+            "shards": self._option("shards", shards),
             "spill": self._option("spill", spill),
             "pool": pool,
         }
@@ -379,11 +361,7 @@ class Session:
             from .engine.compiler import repair_knn_order
             from .engine.planner import plan_order
 
-            order = plan_order(
-                query,
-                strategy="histogram",
-                partitions=self.defaults["partitions"],
-            )
+            order = plan_order(query, strategy="histogram")
             if query.knn is not None:
                 order = repair_knn_order(order, query.knn, query.tables)
         return compile_query(query, order=order)
@@ -396,7 +374,6 @@ class Session:
         mode=_UNSET,
         order: Optional[Sequence[str]] = None,
         limit=_UNSET,
-        partitions=_UNSET,
         parallel=_UNSET,
         parallel_kind=_UNSET,
         shards=_UNSET,
@@ -415,7 +392,6 @@ class Session:
             self._option("mode", mode),
             estimate=False,
             **self._physical_options(
-                partitions,
                 parallel,
                 join_strategy,
                 vectorize,
@@ -449,7 +425,6 @@ class Session:
         mode=_UNSET,
         order: Optional[Sequence[str]] = None,
         analyze: bool = False,
-        partitions=_UNSET,
         parallel=_UNSET,
         parallel_kind=_UNSET,
         shards=_UNSET,
@@ -466,7 +441,6 @@ class Session:
         pplan = plan.physical(
             self._option("mode", mode),
             **self._physical_options(
-                partitions,
                 parallel,
                 join_strategy,
                 vectorize,
@@ -486,7 +460,6 @@ class Session:
         mode=_UNSET,
         order: Optional[Sequence[str]] = None,
         limit=_UNSET,
-        partitions=_UNSET,
         parallel=_UNSET,
         parallel_kind=_UNSET,
         shards=_UNSET,
@@ -508,7 +481,6 @@ class Session:
             plan,
             mode=mode,
             limit=limit,
-            partitions=partitions,
             parallel=parallel,
             parallel_kind=parallel_kind,
             shards=shards,

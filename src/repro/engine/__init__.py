@@ -21,8 +21,6 @@ from .executor import (
     answers_as_oid_tuples,
     execute,
     execute_iter,
-    first_k,
-    run_query,
 )
 from .physical import (
     Aggregate,
@@ -36,15 +34,12 @@ from .physical import (
     IndexProbe,
     KNNProbe,
     Once,
-    PartitionScan,
-    PartitionedSpatialJoin,
     PhysicalOperator,
     PhysicalPlan,
     ShardScan,
     ShardedJoin,
     TableScan,
     VectorizedScanProbe,
-    ZOrderJoin,
     build_physical_plan,
 )
 from .planner import (
@@ -56,7 +51,6 @@ from .planner import (
     StepEstimate,
     best_order_by_estimate,
     choose_aggregate_strategy,
-    choose_join_strategies,
     choose_knn_access,
     choose_shard_strategies,
     choose_order,
@@ -93,9 +87,7 @@ __all__ = [
     "MODES",
     "ORDER_STRATEGIES",
     "Once",
-    "PartitionScan",
     "PartitionStatistics",
-    "PartitionedSpatialJoin",
     "PhysicalOperator",
     "PhysicalPlan",
     "ProbeCache",
@@ -110,12 +102,10 @@ __all__ = [
     "TableScan",
     "TableStatistics",
     "VectorizedScanProbe",
-    "ZOrderJoin",
     "answers_as_oid_tuples",
     "best_order_by_estimate",
     "build_physical_plan",
     "choose_aggregate_strategy",
-    "choose_join_strategies",
     "choose_knn_access",
     "choose_order",
     "choose_shard_strategies",
@@ -126,9 +116,7 @@ __all__ = [
     "estimate_order_cost_histogram",
     "execute",
     "execute_iter",
-    "first_k",
     "plan_order",
     "repair_knn_order",
     "rollout_step_estimates",
-    "run_query",
 ]

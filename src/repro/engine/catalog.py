@@ -48,11 +48,11 @@ DEFAULT_SAMPLE_SIZE = 24
 
 @dataclass(frozen=True)
 class PartitionStatistics:
-    """Summary of one spatial partition: its MBR and row count.
+    """Summary of one STR tile (a shard): its MBR and row count.
 
-    The catalog records only the summaries — the partitions themselves
+    The catalog records only the summaries — the shards themselves
     (with their member rows) are cached on the table by
-    :meth:`repro.spatial.table.SpatialTable.partitioning`.
+    :meth:`repro.spatial.table.SpatialTable.sharding`.
     """
 
     pid: int
@@ -210,8 +210,8 @@ class TableStatistics:
     ``lo_hists[d]`` / ``hi_hists[d]`` are histograms of the stored
     boxes' lower/upper edges in dimension ``d``; ``sample`` is a
     uniform random sample of the rows themselves; ``partitions`` holds
-    per-partition summaries when the statistics were collected with a
-    partition count (empty otherwise).  ``delta_count`` is the number
+    per-shard summaries when the statistics were collected with a
+    shard count (empty otherwise).  ``delta_count`` is the number
     of staged-but-unpacked mutations folded in by :meth:`apply_delta`
     (0 for statistics over a clean table) — the cost formulas price the
     per-probe delta overlay with it.
@@ -313,11 +313,11 @@ class TableStatistics:
         return self.count * self.selectivity(query)
 
     def pruned_count(self, query: BoxQuery) -> float:
-        """Rows left to read after partition-MBR pruning for ``query``.
+        """Rows left after shard-MBR pruning for ``query``.
 
-        Sums the counts of partitions whose MBR could still contain a
-        match (``PartitionScan``'s read cost).  Without per-partition
-        statistics this is simply the full row count (no pruning).
+        Sums the counts of shards whose MBR could still contain a match
+        (the rows an MBR semi-join keeps).  Without per-shard statistics
+        this is simply the full row count (no pruning).
         """
         if not self.partitions:
             return float(self.count)
@@ -531,8 +531,8 @@ def collect_statistics(
     """Compute :class:`TableStatistics` for a table (one full scan).
 
     ``partitions > 0`` additionally summarises the table's STR
-    partitioning at that granularity (per-partition counts and MBRs),
-    reusing the tiling cached on the table.
+    sharding at that granularity (per-shard counts and MBRs), reusing
+    the tiling cached on the table; no shard sub-table is built.
 
     ``rows`` / ``total`` override the scanned population (non-empty
     rows and the raw row count): the incremental-maintenance path
@@ -570,8 +570,8 @@ def collect_statistics(
     partition_stats: Tuple[PartitionStatistics, ...] = ()
     if partitions > 0:
         partition_stats = tuple(
-            PartitionStatistics(pid=p.pid, count=len(p), mbr=p.mbr)
-            for p in table.partitioning(partitions).partitions
+            PartitionStatistics(pid=s.sid, count=len(s), mbr=s.mbr)
+            for s in table.sharding(partitions).shards
         )
     return TableStatistics(
         name=table.name,

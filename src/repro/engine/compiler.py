@@ -81,7 +81,6 @@ class QueryPlan:
         mode: str = "boxplan",
         catalog: Optional["Catalog"] = None,
         estimate: bool = True,
-        partitions: int = 0,
         parallel: int = 0,
         parallel_kind: str = "thread",
         join_strategy: Optional[str] = None,
@@ -94,9 +93,9 @@ class QueryPlan:
 
         ``estimate=False`` skips the EXPLAIN-only catalog cost rollouts
         (they cost far more than executing a small query).
-        ``partitions``/``parallel``/``join_strategy``/``vectorize``
-        configure partitioned and columnar execution, ``shards``/
-        ``spill``/``pool`` sharded scale-out — see
+        ``join_strategy``/``vectorize`` pick the access paths and the
+        columnar kernels, ``shards``/``spill``/``parallel``/``pool``
+        sharded scale-out — see
         :func:`repro.engine.physical.build_physical_plan`.
         """
         from .physical import build_physical_plan
@@ -106,7 +105,6 @@ class QueryPlan:
             mode=mode,
             catalog=catalog,
             estimate=estimate,
-            partitions=partitions,
             parallel=parallel,
             parallel_kind=parallel_kind,
             join_strategy=join_strategy,

@@ -39,13 +39,11 @@ after ``k`` answers without materialising the rest of the search space.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..spatial.table import ProbeCache, SpatialObject
 from .compiler import QueryPlan
 from .physical import MODES, build_physical_plan
-from .query import SpatialQuery
 from .stats import ExecutionStats
 
 Answer = Dict[str, SpatialObject]
@@ -56,8 +54,6 @@ __all__ = [
     "answers_as_oid_tuples",
     "execute",
     "execute_iter",
-    "first_k",
-    "run_query",
 ]
 
 
@@ -65,9 +61,6 @@ def execute(
     plan: QueryPlan,
     mode: str = "boxplan",
     cache: Optional[ProbeCache] = None,
-    partitions: int = 0,
-    parallel: int = 0,
-    join_strategy: Optional[str] = None,
     vectorize: Optional[bool] = None,
 ) -> Tuple[List[Answer], ExecutionStats]:
     """Run a compiled plan in the given mode.
@@ -77,10 +70,11 @@ def execute(
     an optional shared :class:`~repro.spatial.table.ProbeCache` through
     which all index probes go — repeated executions over unchanged
     tables then skip the index entirely.
-    ``partitions``/``parallel``/``join_strategy`` configure partitioned
-    execution and ``vectorize`` the columnar kernels (see
-    :func:`~repro.engine.physical.build_physical_plan`); the answer set
-    is the same for every setting.  An unknown ``mode`` raises
+    ``vectorize`` selects the columnar kernels (see
+    :func:`~repro.engine.physical.build_physical_plan`; sharded
+    execution goes through ``plan.physical`` or
+    :class:`~repro.database.Session`); the answer set is the same for
+    every setting.  An unknown ``mode`` raises
     :class:`~repro.errors.UnknownModeError` naming the valid modes.
     """
     # estimate=False: catalog cost annotations are EXPLAIN-only and the
@@ -89,9 +83,6 @@ def execute(
         plan,
         mode=mode,
         estimate=False,
-        partitions=partitions,
-        parallel=parallel,
-        join_strategy=join_strategy,
         vectorize=vectorize,
     ).run(cache=cache)
 
@@ -101,9 +92,6 @@ def execute_iter(
     mode: str = "boxplan",
     limit: Optional[int] = None,
     cache: Optional[ProbeCache] = None,
-    partitions: int = 0,
-    parallel: int = 0,
-    join_strategy: Optional[str] = None,
     vectorize: Optional[bool] = None,
 ) -> Iterator[Answer]:
     """Streaming execution — answers are yielded as found.
@@ -111,64 +99,15 @@ def execute_iter(
     The operator tree is pulled depth-first, so the *first* answers
     arrive after touching only a sliver of the search space (benchmark
     E12 measures first-k latency).  All four modes stream; answer *sets*
-    equal :func:`execute`'s, order may differ between modes (and between
-    join strategies — the bulk joins are blocking operators).  ``limit``
+    equal :func:`execute`'s, order may differ between modes.  ``limit``
     bounds the number of answers with early exit.
     """
     return build_physical_plan(
         plan,
         mode=mode,
         estimate=False,
-        partitions=partitions,
-        parallel=parallel,
-        join_strategy=join_strategy,
         vectorize=vectorize,
     ).execute_iter(limit=limit, cache=cache)
-
-
-def first_k(
-    plan: QueryPlan, k: int, mode: str = "boxplan"
-) -> List[Answer]:
-    """The first ``k`` answers of a streaming execution.
-
-    .. deprecated:: 1.1
-        Use ``Session().run(plan, mode=..., limit=k).answers`` — the
-        :class:`~repro.database.Session` facade exposes the same
-        early-exit streaming with the uniform option vocabulary.
-    """
-    warnings.warn(
-        "first_k() is deprecated; use repro.Session().run(plan, "
-        "mode=..., limit=k).answers",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..database import Session
-
-    return Session().run(plan, mode=mode, limit=k).answers
-
-
-def run_query(
-    query: SpatialQuery,
-    mode: str = "boxplan",
-    order: Optional[Sequence[str]] = None,
-) -> Tuple[List[Answer], ExecutionStats]:
-    """Compile and execute in one call.
-
-    .. deprecated:: 1.1
-        Use ``Session().run(query, mode=..., order=...)`` — identical
-        answers and stats, plus timings, caching, and the partitioned-
-        execution options in one place.
-    """
-    warnings.warn(
-        "run_query() is deprecated; use repro.Session().run(query, "
-        "mode=..., order=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..database import Session
-
-    result = Session().run(query, mode=mode, order=order)
-    return result.answers, result.stats
 
 
 def answers_as_oid_tuples(

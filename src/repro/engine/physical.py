@@ -41,34 +41,29 @@ Index probes optionally go through a shared
 weak table handle, the table version and the box query), so repeated
 queries over unchanged tables skip the index entirely.
 
-**Partitioned execution.**  Beyond the per-tuple probe operators, three
-partition-aware extend operators implement alternative join algorithms
-(selected per step by ``join_strategy=`` — explicitly, or cost-based
-via :func:`repro.engine.planner.choose_join_strategies` with
-``"auto"``):
+**Sharded execution.**  With ``shards=S`` every box-mode step runs
+against the table's STR sharding (:meth:`SpatialTable.sharding`), with
+one of two extend operators per step (``join_strategy=`` —
+explicitly, or cost-based via
+:func:`repro.engine.planner.choose_shard_strategies`):
 
-``PartitionScan``
-    reads only the STR partitions (:meth:`SpatialTable.partitioning`)
-    whose MBR could satisfy the step's compiled box query — the
-    partition-pruned access path for unindexed tables.
-``PartitionedSpatialJoin``
-    the PBSM join: materialises the incoming partial tuples, derives a
-    probe box per tuple, co-partitions probe boxes and table rows on a
-    shared tile grid, plane-sweeps each tile (boundary duplicates are
-    deduplicated by the reference-point rule) and verifies the full box
-    query on the surviving pairs.  Tile tasks fan out over an
+``ShardScan``
+    per partial tuple, one range query into each shard whose MBR could
+    satisfy the step's compiled box query (each shard has its own
+    packed R-tree, built on first use).
+``ShardedJoin``
+    the coordinator's bulk join: materialises the incoming partial
+    tuples, derives a probe box per tuple, routes each probe only to
+    shards whose MBR it overlaps (the MBR semi-join), plane-sweeps each
+    surviving shard, and verifies the full box query on the candidate
+    pairs.  Shard sweeps fan out over an
     :class:`~repro.spatial.partition.Exchange` (``parallel=W`` workers,
     thread or process pool) with a deterministic serial fallback —
     parallel answer streams are bit-identical to serial ones.
-``ZOrderJoin``
-    the PROBE-style alternative: probe boxes and rows are decomposed
-    into z-order intervals and merge-joined
-    (:func:`repro.spatial.zorder.zorder_join`), then verified the same
-    way.
 
-All three emit exactly the rows the per-tuple probes would (property
-tested), so every mode/strategy combination returns the same answer
-set.
+Both emit exactly the rows the per-tuple probes would (property
+tested), so every mode/strategy/shard-count combination returns the
+same answer set.
 """
 
 from __future__ import annotations
@@ -82,12 +77,9 @@ from ..constraints.system import ConstraintSystem
 from ..errors import UnknownModeError
 from ..spatial import columnar
 from ..spatial.partition import (
-    DEFAULT_TILES,
     Exchange,
-    JoinStats,
     WorkerPool,
     mbr_may_match,
-    pbsm_join,
     probe_box,
 )
 from ..spatial.shard import ShardJoinStats
@@ -118,10 +110,9 @@ class OperatorStats:
     cache_misses: int = 0
     region_ops: int = 0  # exact region-algebra operations
     box_evals: int = 0  # box-template instantiations
-    pair_tests: int = 0  # candidate box tests (sweeps, partition scans)
-    partitions_visited: int = 0
-    partitions_pruned: int = 0
-    dedup_skipped: int = 0  # PBSM boundary duplicates suppressed
+    pair_tests: int = 0  # candidate box tests (shard sweeps)
+    shards_visited: int = 0  # shards probed or swept
+    shards_pruned: int = 0  # shards skipped by MBR pruning
     vectorized_batches: int = 0  # columnar kernel dispatches
     vectorized_candidates: int = 0  # rows/entries those kernels saw
     delta_probes: int = 0  # probes that merged a pending write delta
@@ -633,300 +624,6 @@ class IndexCountAggregate(PhysicalOperator):
         yield AggregateRow(group=(), values={"count": n})
 
 
-class PartitionScan(ExtendStep):
-    """Extend via a partition-MBR-pruned scan of the table.
-
-    The table's STR partitioning (cached on the table, invalidated by
-    its mutation counter) is fetched on first use; each input binding
-    instantiates the step's box template, skips every partition whose
-    MBR cannot contain a match (the same soundness argument R-tree node
-    descent uses) and tests only the surviving partitions' rows.  The
-    partition-aware access path for unindexed tables — and the
-    observable stepping stone to sharding: each partition could live on
-    a different worker.
-    """
-
-    kind = "PartitionScan"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-        template: "StepTemplate",
-        partitions: int,
-    ) -> None:
-        super().__init__(child, variable, table)
-        self.template = template
-        self.n_partitions = max(1, partitions)
-        self._partitioning = None
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind}({self.variable} from {self.table.name}, "
-            f"parts={self.n_partitions})"
-        )
-
-    def reset_stats(self) -> None:
-        self._partitioning = None
-        super().reset_stats()
-
-    def _rows(
-        self, ctx: ExecutionContext, binding: Binding
-    ) -> List[SpatialObject]:
-        if self._partitioning is None:
-            self._partitioning = self.table.partitioning(self.n_partitions)
-        query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
-        self.stats.box_evals += 1
-        self.stats.probes += 1
-        if query.is_unsatisfiable():
-            self.stats.partitions_pruned += len(self._partitioning)
-            return []
-        store = (
-            self.table.column_store(True) if ctx.vectorize else None
-        )
-        out: List[SpatialObject] = []
-        for part in self._partitioning.partitions:
-            if not mbr_may_match(part.mbr, query):
-                self.stats.partitions_pruned += 1
-                continue
-            self.stats.partitions_visited += 1
-            if store is not None and part.indices:
-                # One batched kernel per visited partition: the stored
-                # indices address the rows' columnar slots directly.
-                self.stats.pair_tests += len(part.indices)
-                self.stats.vectorized_batches += 1
-                self.stats.vectorized_candidates += len(part.indices)
-                matched = store.match_positions(
-                    query, candidates=part.indices
-                )
-                out.extend(
-                    store.rows[part.indices[j]] for j in matched
-                )
-                continue
-            for obj in part.rows:
-                self.stats.pair_tests += 1
-                if query.matches(obj.box):
-                    out.append(obj)
-        return out
-
-
-class _BulkJoinStep(ExtendStep):
-    """Base of the bulk (set-at-a-time) join operators.
-
-    Unlike the per-tuple probes, a bulk join *materialises* its child's
-    bindings, instantiates one box query each, joins all probe boxes
-    against the table in one pass, and re-emits the extended bindings
-    grouped by input binding (then by table row order) — deterministic
-    regardless of how the join itself is parallelised.  Subclasses
-    implement :meth:`_candidate_pairs` returning candidate
-    ``(binding index, row index)`` pairs whose boxes overlap; the full
-    box query is verified here, so each strategy admits exactly the
-    rows an :class:`IndexProbe` would.
-    """
-
-    def _candidate_pairs(
-        self,
-        ctx: ExecutionContext,
-        probes: List[Tuple[int, Box]],
-        rows: List[SpatialObject],
-    ) -> List[Tuple[int, int]]:
-        raise NotImplementedError
-
-    def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
-        self.stats.executed = True
-        bindings: List[Binding] = []
-        queries = []
-        for binding in self.child.iterate(ctx):
-            self.stats.rows_in += 1
-            query = self.template.instantiate(
-                ctx.box_env(binding), ctx.universe
-            )
-            self.stats.box_evals += 1
-            bindings.append(binding)
-            queries.append(query)
-        if not bindings:
-            return
-        self.stats.probes += 1
-        rows: List[SpatialObject] = []
-        row_pos: List[int] = []  # columnar slot of each kept row
-        for slot, obj in enumerate(self.table.scan()):
-            if not obj.box.is_empty():
-                rows.append(obj)
-                row_pos.append(slot)
-        if not rows:
-            return
-        extent = enclose_all(obj.box for obj in rows)
-        probes: List[Tuple[int, Box]] = []
-        for i, query in enumerate(queries):
-            if query.is_unsatisfiable():
-                continue
-            p = probe_box(query, extent)
-            if not p.is_empty():
-                probes.append((i, p))
-        if not probes:
-            return
-        pairs = self._candidate_pairs(ctx, probes, rows)
-        pairs.sort()
-        store = self.table.column_store(True) if ctx.vectorize else None
-        if store is None:
-            for i, seq in pairs:
-                self.stats.pair_tests += 1
-                if not queries[i].matches(rows[seq].box):
-                    continue
-                extended = dict(bindings[i])
-                extended[self.variable] = rows[seq]
-                self.stats.rows_out += 1
-                yield extended
-            return
-        # Vectorized verification: the sorted pair list is contiguous
-        # per input binding, so each group is one batched kernel over
-        # its candidate rows' columnar slots.  Candidate order is
-        # ascending within a group, so the emit order (binding, then
-        # table row order) matches the scalar loop exactly.
-        start, n = 0, len(pairs)
-        while start < n:
-            i = pairs[start][0]
-            end = start
-            while end < n and pairs[end][0] == i:
-                end += 1
-            seqs = [pairs[p][1] for p in range(start, end)]
-            start = end
-            self.stats.pair_tests += len(seqs)
-            self.stats.vectorized_batches += 1
-            self.stats.vectorized_candidates += len(seqs)
-            matched = store.match_positions(
-                queries[i], candidates=[row_pos[s] for s in seqs]
-            )
-            for j in matched:
-                extended = dict(bindings[i])
-                extended[self.variable] = rows[seqs[j]]
-                self.stats.rows_out += 1
-                yield extended
-
-
-class PartitionedSpatialJoin(_BulkJoinStep):
-    """PBSM: co-partition probe boxes and rows, plane-sweep per tile.
-
-    Probe boxes (one per incoming partial tuple, a sound
-    necessary-condition box for the tuple's compiled query) and the
-    table's row boxes are replicated onto a shared uniform
-    :class:`~repro.spatial.partition.TileGrid`; each tile is
-    plane-swept independently, with boundary duplicates suppressed by
-    the reference-point rule.  Tile tasks run on the plan's
-    :class:`~repro.spatial.partition.Exchange` — thread/process pool or
-    the deterministic serial fallback; the output is identical either
-    way.
-    """
-
-    kind = "PartitionedSpatialJoin"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-        template: "StepTemplate",
-        partitions: int = DEFAULT_TILES,
-        exchange: Optional[Exchange] = None,
-    ) -> None:
-        super().__init__(child, variable, table)
-        self.template = template
-        self.n_tiles = max(1, partitions)
-        self.exchange = exchange or Exchange()
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind}({self.variable} from {self.table.name}, "
-            f"tiles={self.n_tiles}, exchange={self.exchange.describe()})"
-        )
-
-    def _candidate_pairs(
-        self,
-        ctx: ExecutionContext,
-        probes: List[Tuple[int, Box]],
-        rows: List[SpatialObject],
-    ) -> List[Tuple[int, int]]:
-        join_stats = JoinStats()
-        pairs = pbsm_join(
-            [(box, i) for i, box in probes],
-            [(obj.box, seq) for seq, obj in enumerate(rows)],
-            n_tiles=self.n_tiles,
-            exchange=self.exchange,
-            stats=join_stats,
-        )
-        self.stats.partitions_visited += join_stats.tiles
-        self.stats.pair_tests += join_stats.pair_tests
-        self.stats.dedup_skipped += join_stats.dedup_skipped
-        return pairs
-
-
-class ZOrderJoin(_BulkJoinStep):
-    """The PROBE-style join: merge two z-interval streams.
-
-    Probe boxes and row boxes are decomposed into z-order interval
-    lists over a shared :class:`~repro.spatial.zorder.ZGrid` and
-    sort-merge joined (:func:`~repro.spatial.zorder.zorder_join`); the
-    surviving candidate pairs are verified against the full compiled
-    box query like every other strategy.
-    """
-
-    kind = "ZOrderJoin"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-        template: "StepTemplate",
-        levels: int = 6,
-    ) -> None:
-        super().__init__(child, variable, table)
-        self.template = template
-        self.levels = levels
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind}({self.variable} from {self.table.name}, "
-            f"levels={self.levels})"
-        )
-
-    def _candidate_pairs(
-        self,
-        ctx: ExecutionContext,
-        probes: List[Tuple[int, Box]],
-        rows: List[SpatialObject],
-    ) -> List[Tuple[int, int]]:
-        from ..spatial.zorder import ZGrid, ZOrderIndex, zorder_join
-
-        universe = self.table.universe
-        extent = universe if universe is not None else Box((), ())
-        for _i, box in probes:
-            extent = extent.enclose(box)
-        for obj in rows:
-            extent = extent.enclose(obj.box)
-        if extent.is_empty():
-            return []
-        grid = ZGrid(extent, levels=self.levels)
-        left = ZOrderIndex(grid)
-        right = ZOrderIndex(grid)
-        if ctx.vectorize:
-            # Batched z-key computation (bit-identical to the scalar
-            # inserts); count the boxes the batch kernel considered.
-            self.stats.vectorized_batches += 2
-            self.stats.vectorized_candidates += len(probes) + len(rows)
-            left.insert_batch([(box, i) for i, box in probes])
-            right.insert_batch(
-                [(obj.box, seq) for seq, obj in enumerate(rows)]
-            )
-        else:
-            for i, box in probes:
-                left.insert(box, i)
-            for seq, obj in enumerate(rows):
-                right.insert(obj.box, seq)
-        return list(zorder_join(left, right, exact=True))
-
-
 class ShardScan(ExtendStep):
     """Extend via MBR-pruned probes into each shard's own R-tree.
 
@@ -973,14 +670,14 @@ class ShardScan(ExtendStep):
         query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
         self.stats.box_evals += 1
         if query.is_unsatisfiable():
-            self.stats.partitions_pruned += len(sharding.shards)
+            self.stats.shards_pruned += len(sharding.shards)
             return []
         tagged: List[Tuple[int, SpatialObject]] = []
         for shard in sharding.shards:
             if not mbr_may_match(shard.mbr, query):
-                self.stats.partitions_pruned += 1
+                self.stats.shards_pruned += 1
                 continue
-            self.stats.partitions_visited += 1
+            self.stats.shards_visited += 1
             self.stats.probes += 1
             sub = shard.table
             before = sub.index_read_count()
@@ -1001,19 +698,24 @@ class ShardScan(ExtendStep):
         return [obj for _seq, obj in tagged]
 
 
-class ShardedJoin(_BulkJoinStep):
+class ShardedJoin(ExtendStep):
     """The coordinator's bulk join over a sharded table.
 
-    Probe boxes are routed by an MBR semi-join — a probe is shipped
-    only to shards whose MBR it overlaps — and each surviving shard is
-    plane-swept as one task on the plan's
+    Unlike the per-tuple probes, the join *materialises* its child's
+    bindings, instantiates one box query each and derives a probe box
+    per query.  Probes are routed by an MBR semi-join — a probe is
+    shipped only to shards whose MBR it overlaps — and each surviving
+    shard is plane-swept as one task on the plan's
     :class:`~repro.spatial.partition.Exchange`.  On a process pool the
     shard coordinates come from the sharding's shared-memory blocks
     (published once per sharding, attached and cached by the workers)
     instead of per-task pickled blobs.  Shard row sets are disjoint, so
-    the merged candidate pairs are duplicate-free; the bulk-join base
-    sorts them globally, making answers bit-identical to serial
-    execution for every shard count and exchange kind.
+    the merged candidate pairs are duplicate-free; they are sorted
+    globally and the full box query is verified on each, so the step
+    admits exactly the rows an :class:`IndexProbe` would and re-emits
+    them grouped by input binding, then by table row order —
+    bit-identical to serial execution for every shard count and
+    exchange kind.
     """
 
     kind = "ShardedJoin"
@@ -1042,25 +744,85 @@ class ShardedJoin(_BulkJoinStep):
             f"exchange={self.exchange.describe()}{extra})"
         )
 
-    def _candidate_pairs(
-        self,
-        ctx: ExecutionContext,
-        probes: List[Tuple[int, Box]],
-        rows: List[SpatialObject],
-    ) -> List[Tuple[int, int]]:
-        sharding = self.table.sharding(self.n_shards)
+    def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
+        self.stats.executed = True
+        bindings: List[Binding] = []
+        queries = []
+        for binding in self.child.iterate(ctx):
+            self.stats.rows_in += 1
+            query = self.template.instantiate(
+                ctx.box_env(binding), ctx.universe
+            )
+            self.stats.box_evals += 1
+            bindings.append(binding)
+            queries.append(query)
+        if not bindings:
+            return
+        self.stats.probes += 1
+        rows: List[SpatialObject] = []
+        row_pos: List[int] = []  # columnar slot of each kept row
+        for slot, obj in enumerate(self.table.scan()):
+            if not obj.box.is_empty():
+                rows.append(obj)
+                row_pos.append(slot)
+        if not rows:
+            return
+        extent = enclose_all(obj.box for obj in rows)
+        probes: List[Tuple[int, Box]] = []
+        for i, query in enumerate(queries):
+            if query.is_unsatisfiable():
+                continue
+            p = probe_box(query, extent)
+            if not p.is_empty():
+                probes.append((i, p))
+        if not probes:
+            return
         join_stats = ShardJoinStats()
-        pairs = sharding.join_pairs(
+        pairs = self.table.sharding(self.n_shards).join_pairs(
             probes,
             exchange=self.exchange,
             stats=join_stats,
             spill=self.spill,
         )
-        self.stats.partitions_visited += join_stats.visited
-        self.stats.partitions_pruned += join_stats.pruned
+        self.stats.shards_visited += join_stats.visited
+        self.stats.shards_pruned += join_stats.pruned
         self.stats.pair_tests += join_stats.pair_tests
-        self.stats.dedup_skipped += join_stats.dedup_skipped
-        return pairs
+        pairs.sort()
+        store = self.table.column_store(True) if ctx.vectorize else None
+        if store is None:
+            for i, seq in pairs:
+                self.stats.pair_tests += 1
+                if not queries[i].matches(rows[seq].box):
+                    continue
+                extended = dict(bindings[i])
+                extended[self.variable] = rows[seq]
+                self.stats.rows_out += 1
+                yield extended
+            return
+        # Vectorized verification: the sorted pair list is contiguous
+        # per input binding, so each group is one batched kernel over
+        # its candidate rows' columnar slots.  Candidate order is
+        # ascending within a group, so the emit order (binding, then
+        # table row order) matches the scalar loop exactly.
+        start, n = 0, len(pairs)
+        while start < n:
+            i = pairs[start][0]
+            end = start
+            while end < n and pairs[end][0] == i:
+                end += 1
+            seqs = [pairs[p][1] for p in range(start, end)]
+            start = end
+            self.stats.pair_tests += len(seqs)
+            self.stats.vectorized_batches += 1
+            self.stats.vectorized_candidates += len(seqs)
+            matched = store.match_positions(
+                queries[i], candidates=[row_pos[s] for s in seqs]
+            )
+            for j in matched:
+                extended = dict(bindings[i])
+                extended[self.variable] = rows[seqs[j]]
+                self.stats.rows_out += 1
+                yield extended
 
 
 class BoxFilter(PhysicalOperator):
@@ -1193,7 +955,6 @@ class PhysicalPlan:
     root: PhysicalOperator
     step_ops: List[_StepOps] = field(default_factory=list)
     final_filter: Optional[ExactFilter] = None
-    partitions: int = 0
     shards: int = 0
     spill: Optional[int] = None
     join_strategies: Tuple[str, ...] = ()
@@ -1262,9 +1023,8 @@ class PhysicalPlan:
             else:
                 step.candidates = extend.rows_out
             stats.box_ops_estimate += extend.box_evals
-            # Candidate pair tests (plane sweeps, partition scans) are
-            # box work too — the partitioned operators' analogue of the
-            # per-probe box evaluations.
+            # Candidate pair tests (shard sweeps) are box work too —
+            # the bulk join's analogue of the per-probe box evaluations.
             stats.box_ops_estimate += extend.pair_tests
             if ops.exact_filter is not None:
                 step.survivors = ops.exact_filter.stats.rows_out
@@ -1321,10 +1081,8 @@ class PhysicalPlan:
             f"PhysicalPlan[{self.mode}]"
             f"  order: {', '.join(self.logical.order)}"
         ]
-        if (
-            self.partitions
-            or self.shards
-            or any(s != "probe" for s in self.join_strategies)
+        if self.shards or any(
+            s not in ("probe", "knn") for s in self.join_strategies
         ):
             joins = ", ".join(
                 f"{v}={s}"
@@ -1333,11 +1091,9 @@ class PhysicalPlan:
             exchange = (
                 self.exchange.describe() if self.exchange else "serial"
             )
-            layout = f"  partitions={self.partitions or 'off'}"
-            if self.shards:
-                layout += f"  shards={self.shards}"
-                if self.spill:
-                    layout += f"  spill={self.spill}"
+            layout = f"  shards={self.shards or 'off'}"
+            if self.spill:
+                layout += f"  spill={self.spill}"
             lines.append(
                 f"{layout}  exchange={exchange}  joins: {joins}"
             )
@@ -1364,15 +1120,13 @@ class PhysicalPlan:
                         f"cache={s.cache_hits}/"
                         f"{s.cache_hits + s.cache_misses}"
                     )
-                if s.partitions_visited or s.partitions_pruned:
+                if s.shards_visited or s.shards_pruned:
                     actual.append(
-                        f"parts={s.partitions_visited}/"
-                        f"{s.partitions_visited + s.partitions_pruned}"
+                        f"shards={s.shards_visited}/"
+                        f"{s.shards_visited + s.shards_pruned}"
                     )
                 if s.pair_tests:
                     actual.append(f"pair_tests={s.pair_tests}")
-                if s.dedup_skipped:
-                    actual.append(f"dedup={s.dedup_skipped}")
                 if s.vectorized_batches:
                     actual.append(
                         f"vec={s.vectorized_batches}/"
@@ -1399,39 +1153,38 @@ def _resolve_join_strategies(
     plan: QueryPlan,
     mode: str,
     catalog: Optional["Catalog"],
-    partitions: int,
     parallel: int,
     join_strategy: Any,
     shards: int = 0,
 ) -> Dict[str, str]:
     """Normalise the ``join_strategy`` option to a per-variable mapping.
 
-    Accepted forms: ``None`` (per-backend default: ``"probe"``, or
-    ``"partition"`` for unindexed tables when partitioning is enabled),
-    ``"auto"`` (cost-based, via
-    :func:`~repro.engine.planner.choose_join_strategies`), a single
-    strategy name for every step, a sequence aligned with the retrieval
-    order, or a ``variable → strategy`` mapping.  Join strategies only
-    shape box-mode plans — the ``naive``/``exact`` modes have no box
-    layer to join on, so an *explicit* concrete strategy there raises
-    rather than being silently dropped (``"auto"`` degrades quietly: it
-    delegates the choice, and in these modes there is none to make).
+    Accepted forms: ``None`` or ``"auto"`` (the planner's pick), a
+    single strategy name for every step, a sequence aligned with the
+    retrieval order, or a ``variable → strategy`` mapping (steps it
+    leaves unnamed get the default).  One validation path serves both
+    layouts; only the vocabulary differs:
 
-    Sharded execution (``shards > 0``) swaps the strategy vocabulary:
-    every step runs against the sharded table, so the valid names are
-    :data:`~repro.engine.planner.SHARD_STRATEGIES` and ``None`` /
-    ``"auto"`` choose per step via
-    :func:`~repro.engine.planner.choose_shard_strategies`.  Naming a
-    shard strategy with ``shards=0`` raises — there is no sharding to
-    run it on.
+    * unsharded plans have one access path,
+      :data:`~repro.engine.planner.JOIN_STRATEGIES` (``"probe"``);
+    * sharded plans (``shards > 0``) pick among
+      :data:`~repro.engine.planner.SHARD_STRATEGIES` — cost-based via
+      :func:`~repro.engine.planner.choose_shard_strategies` for
+      ``None``/``"auto"``, ``"shardscan"`` for an unnamed step.
+
+    Join strategies only shape box-mode plans — the ``naive``/``exact``
+    modes have no box layer to join on, so an *explicit* strategy there
+    raises rather than being silently dropped (``"auto"`` degrades
+    quietly: it delegates the choice, and in these modes there is none
+    to make).
     """
     from .planner import (
         JOIN_STRATEGIES,
         SHARD_STRATEGIES,
-        choose_join_strategies,
         choose_shard_strategies,
     )
 
+    order = list(plan.order)
     if mode not in ("boxplan", "boxonly"):
         if join_strategy not in (None, "auto"):
             raise ValueError(
@@ -1440,82 +1193,52 @@ def _resolve_join_strategies(
                 f"no box layer to join on"
             )
         return {}
+    valid: Tuple[str, ...] = JOIN_STRATEGIES
+    default = "probe"
     if shards > 0:
-        if join_strategy in (None, "auto"):
+        valid, default = SHARD_STRATEGIES, "shardscan"
+    if join_strategy is None or join_strategy == "auto":
+        if shards > 0:
             chosen = choose_shard_strategies(
                 plan.query,
-                plan.order,
+                order,
                 catalog=catalog,
                 shards=shards,
                 workers=parallel,
             )
-            return dict(zip(plan.order, chosen))
-        if isinstance(join_strategy, str):
-            resolved = {v: join_strategy for v in plan.order}
-        elif isinstance(join_strategy, dict):
-            resolved = dict(join_strategy)
-        else:
-            resolved = dict(zip(plan.order, join_strategy))
-        for variable, name in resolved.items():
-            if name not in SHARD_STRATEGIES:
-                raise ValueError(
-                    f"unknown shard strategy {name!r} for {variable!r}; "
-                    f"with shards>0 expected one of {SHARD_STRATEGIES} "
-                    f"(or 'auto')"
-                )
-        return resolved
-    if isinstance(join_strategy, str) and join_strategy in SHARD_STRATEGIES:
-        raise ValueError(
-            f"join strategy {join_strategy!r} requires sharded "
-            f"execution; pass shards>0 to enable it"
-        )
-    if join_strategy is None:
-        out = {}
-        if partitions > 0:
-            out = {
-                sp.variable: "partition"
-                for sp in plan.steps
-                if sp.table.index_kind == "scan"
-            }
-        return out
-    if join_strategy == "auto":
-        chosen = choose_join_strategies(
-            plan.query,
-            plan.order,
-            catalog=catalog,
-            partitions=partitions,
-            workers=parallel,
-        )
-        return dict(zip(plan.order, chosen))
+            return dict(zip(order, chosen))
+        return {v: default for v in order}
     if isinstance(join_strategy, str):
-        resolved = {v: join_strategy for v in plan.order}
+        resolved = {v: join_strategy for v in order}
     elif isinstance(join_strategy, dict):
-        resolved = dict(join_strategy)
-        unknown = set(resolved) - set(plan.order)
+        unknown = set(join_strategy) - set(order)
         if unknown:
             raise ValueError(
                 f"join_strategy names unknown variables "
-                f"{sorted(unknown)}; retrieval order is {list(plan.order)}"
+                f"{sorted(unknown)}; retrieval order is {order}"
             )
+        resolved = {v: join_strategy.get(v, default) for v in order}
     else:
         names = list(join_strategy)
-        if len(names) != len(plan.order):
+        if len(names) != len(order):
             raise ValueError(
                 f"join_strategy sequence has {len(names)} entries for "
-                f"{len(plan.order)} retrieval steps ({list(plan.order)})"
+                f"{len(order)} retrieval steps ({order})"
             )
-        resolved = dict(zip(plan.order, names))
+        resolved = dict(zip(order, names))
     for variable, name in resolved.items():
+        if name in valid:
+            continue
         if name in SHARD_STRATEGIES:
             raise ValueError(
                 f"join strategy {name!r} for {variable!r} requires "
                 f"sharded execution; pass shards>0 to enable it"
             )
-        if name not in JOIN_STRATEGIES:
-            raise ValueError(
-                f"unknown join strategy {name!r} for {variable!r}; "
-                f"expected one of {JOIN_STRATEGIES} (or 'auto')"
-            )
+        layout = "with shards>0" if shards > 0 else "unsharded"
+        raise ValueError(
+            f"unknown join strategy {name!r} for {variable!r}; "
+            f"{layout} expected one of {valid} (or 'auto')"
+        )
     return resolved
 
 
@@ -1524,7 +1247,6 @@ def build_physical_plan(
     mode: str = "boxplan",
     catalog: Optional["Catalog"] = None,
     estimate: bool = True,
-    partitions: int = 0,
     parallel: int = 0,
     parallel_kind: str = "thread",
     join_strategy: Optional[str] = None,
@@ -1545,20 +1267,16 @@ def build_physical_plan(
     ``False`` = per-object execution, ``True`` = columnar unless the
     backend is forced off); answers are identical either way.
 
-    Partitioned execution options (box modes only):
+    Sharded execution options (box modes only):
 
-    ``partitions``
-        spatial partition / PBSM tile target (0 disables partitioning;
-        unindexed tables then default to ``PartitionScan``);
     ``parallel`` / ``parallel_kind``
         worker count and pool kind (``"thread"``/``"process"``/
-        ``"serial"``) for the PBSM tile :class:`Exchange` — results are
-        identical to serial execution;
+        ``"serial"``) for the shard-sweep :class:`Exchange` — results
+        are identical to serial execution;
     ``join_strategy``
-        per-step join algorithm: ``None`` (defaults), ``"auto"``
-        (cost-based), one of
-        :data:`~repro.engine.planner.JOIN_STRATEGIES`, or a
-        sequence/mapping per variable;
+        per-step access path: ``None``/``"auto"`` (the planner's pick),
+        one name for every step, or a sequence/mapping per variable
+        (see :func:`_resolve_join_strategies` for the vocabulary);
     ``shards``
         STR-shard every step's table into this many shards and execute
         via the shard coordinator (:class:`ShardScan` /
@@ -1610,14 +1328,14 @@ def build_physical_plan(
         return pplan
 
     strategies = _resolve_join_strategies(
-        plan, mode, catalog, partitions, parallel, join_strategy,
-        shards=shards,
+        plan, mode, catalog, parallel, join_strategy, shards=shards
     )
     if mode not in ("boxplan", "boxonly"):
-        # Sharding, like partitioning, only shapes box-mode plans.
+        # Sharding only shapes box-mode plans.
         shards = 0
     exchange = Exchange(workers=parallel, kind=parallel_kind, pool=pool)
-    tiles = partitions if partitions > 0 else DEFAULT_TILES
+    # The access path each step actually runs, for explain/bench.
+    labels: Dict[str, str] = {}
 
     def knn_extend(
         node: PhysicalOperator, variable: str, table: SpatialTable
@@ -1646,18 +1364,20 @@ def build_physical_plan(
         exact_steps = mode in ("boxplan", "exact")
         for sp in plan.steps:
             strategy = strategies.get(sp.variable, "probe")
+            labels[sp.variable] = strategy
             box_filter: Optional[BoxFilter] = None
             if knn is not None and sp.variable == knn.variable:
                 # The kNN restriction replaces the step's access path;
                 # the step's box template still applies as a filter (a
                 # necessary condition of the exact constraint), so box
                 # modes keep their candidate accounting.
-                extend = knn_extend(node, sp.variable, sp.table)
+                labels[sp.variable] = "knn"
+                extend: ExtendStep = knn_extend(node, sp.variable, sp.table)
                 node = extend
                 if use_boxes:
                     box_filter = BoxFilter(node, sp.variable, sp.template)
                     node = box_filter
-            elif use_boxes and shards > 0 and strategy == "shardjoin":
+            elif use_boxes and strategy == "shardjoin":
                 extend = ShardedJoin(
                     node,
                     sp.variable,
@@ -1668,31 +1388,9 @@ def build_physical_plan(
                     spill=spill,
                 )
                 node = extend
-            elif use_boxes and shards > 0:
-                # "shardscan" — and the safety net for any step the
-                # shard chooser left unnamed.
+            elif use_boxes and strategy == "shardscan":
                 extend = ShardScan(
                     node, sp.variable, sp.table, sp.template, shards
-                )
-                node = extend
-            elif use_boxes and strategy == "pbsm":
-                extend: ExtendStep = PartitionedSpatialJoin(
-                    node,
-                    sp.variable,
-                    sp.table,
-                    sp.template,
-                    partitions=tiles,
-                    exchange=exchange,
-                )
-                node = extend
-            elif use_boxes and strategy == "zorder":
-                extend = ZOrderJoin(
-                    node, sp.variable, sp.table, sp.template
-                )
-                node = extend
-            elif use_boxes and strategy == "partition":
-                extend = PartitionScan(
-                    node, sp.variable, sp.table, sp.template, tiles
                 )
                 node = extend
             elif use_boxes and sp.table.index_kind != "scan":
@@ -1746,12 +1444,9 @@ def build_physical_plan(
         root=node,
         step_ops=step_ops,
         final_filter=final_filter,
-        partitions=partitions,
         shards=shards,
         spill=spill,
-        join_strategies=tuple(
-            strategies.get(v, "probe") for v in plan.order
-        ),
+        join_strategies=tuple(labels.get(v, "probe") for v in plan.order),
         exchange=exchange,
         knn_access=knn_access,
         aggregate_op=aggregate_op,

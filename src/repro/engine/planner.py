@@ -19,10 +19,10 @@ results, exactly like join ordering in relational optimizers.  We provide
 * :func:`plan_order` / :func:`best_order_by_estimate` — strategy
   dispatch with the greedy heuristic as the safe fallback (the ablation
   hook ``bench_order_ablation.py`` compares all strategies);
-* :func:`choose_join_strategies` — per-step join-algorithm choice
-  (index-nested-loop probe vs partition-pruned scan vs PBSM vs z-order
-  merge), priced on the same rollout estimates — partition pruning
-  included via the catalog's per-partition statistics.
+* :func:`choose_shard_strategies` — per-step access path over a sharded
+  table (per-tuple shard probes vs the coordinator's bulk join), priced
+  on the same rollout estimates with shard pruning from the catalog's
+  per-shard statistics.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from ..boxes.bconstraints import compile_solved_constraint
 from ..constraints.system import ConstraintSystem
 from ..constraints.triangular import triangular_form
 from ..errors import CompilationError
-from ..spatial.partition import DEFAULT_TILES
 from .catalog import Catalog
 from .query import SpatialQuery
 
@@ -57,14 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Strategies accepted by :func:`plan_order`.
 ORDER_STRATEGIES = ("greedy", "estimate", "histogram")
 
-#: Per-step join algorithms :func:`choose_join_strategies` picks among
-#: (and :func:`repro.engine.physical.build_physical_plan` accepts):
-#: ``"probe"`` — index-nested-loop (one compiled range query per partial
-#: tuple; lowered to TableScan→BoxFilter on unindexed tables);
-#: ``"partition"`` — PartitionScan over the table's STR partitions;
-#: ``"pbsm"`` — partition-based spatial-merge join; ``"zorder"`` — the
-#: PROBE-style z-order merge join.
-JOIN_STRATEGIES = ("probe", "partition", "pbsm", "zorder")
+#: The per-step access path of an *unsharded* plan (what
+#: :func:`repro.engine.physical.build_physical_plan` accepts with
+#: ``shards=0``): ``"probe"`` — index-nested-loop, one compiled range
+#: query per partial tuple (lowered to a vectorized scan probe or
+#: TableScan→BoxFilter on unindexed tables).
+JOIN_STRATEGIES = ("probe",)
 
 #: Per-step access paths over a *sharded* table
 #: (:func:`choose_shard_strategies`, ``shards > 0`` plans only):
@@ -73,8 +70,8 @@ JOIN_STRATEGIES = ("probe", "partition", "pbsm", "zorder")
 #: MBR semi-join + per-shard plane sweeps.
 SHARD_STRATEGIES = ("shardscan", "shardjoin")
 
-#: A PBSM/z-order step must expect at least this many probing partial
-#: tuples before bulk joins can beat per-tuple index probes.
+#: A ``shardjoin`` step must expect at least this many probing partial
+#: tuples before the bulk join can beat per-tuple shard probes.
 MIN_BULK_JOIN_OUTER = 4.0
 
 #: ... and the probed table must have at least this many rows.
@@ -82,7 +79,7 @@ MIN_BULK_JOIN_ROWS = 32
 
 #: Entry tests per node on an R-tree descent (~M/2 for capacity 8);
 #: one probe costs about ``log2(n) * branching`` box tests, which
-#: matches the measured ``entry_tests`` of the partitioned-join bench.
+#: matches the measured ``entry_tests`` of the PBSM-vs-probe bench.
 INDEX_PROBE_BRANCHING = 4.0
 
 #: Beyond this many unknowns, exhaustive order enumeration is skipped
@@ -225,8 +222,8 @@ class StepEstimate:
         a necessary condition for the exact constraint, so this estimate
         applies to the scan-based modes too;
     ``pruned_candidates``
-        rows read after partition-MBR pruning (``PartitionScan``'s read
-        cost); equals ``scan_candidates`` when partitioning is disabled.
+        rows left after shard-MBR pruning (what an MBR semi-join keeps);
+        equals ``scan_candidates`` without per-shard statistics.
     """
 
     variable: str
@@ -260,12 +257,12 @@ def rollout_step_estimates(
       queries can look equally permissive);
     * representative objects for later steps are drawn from the sample.
 
-    ``partitions > 0`` collects per-partition statistics and fills
-    :attr:`StepEstimate.pruned_candidates` from partition-MBR pruning
-    (otherwise it equals the full-scan fanout).
+    ``partitions > 0`` collects per-shard statistics at that shard
+    count and fills :attr:`StepEstimate.pruned_candidates` from
+    shard-MBR pruning (otherwise it equals the full-scan fanout).
 
     Used by :func:`estimate_order_cost_histogram` (the planner's cost
-    model), :func:`choose_join_strategies`, and the physical plan's
+    model), :func:`choose_shard_strategies`, and the physical plan's
     EXPLAIN annotations.
     """
     catalog = catalog or Catalog()
@@ -361,32 +358,18 @@ def estimate_order_cost_histogram(
     catalog: Optional[Catalog] = None,
     rollouts: int = 6,
     seed: int = 0,
-    partitions: int = 0,
 ) -> float:
     """Statistics-driven cost estimate for one retrieval order.
 
     Rolls the order out over the statistics catalog (see
     :func:`rollout_step_estimates`); the cost is the expected total
     number of partial tuples (the executor's ``partial_tuples`` counter)
-    plus a small candidate term so index work breaks ties.  With
-    ``partitions > 0`` the tie term uses the partition-pruned read cost
-    when it beats the index estimate, so orders whose steps prune well
-    are preferred.
+    plus a small candidate term so index work breaks ties.
     """
     estimates = rollout_step_estimates(
-        query,
-        order,
-        catalog=catalog,
-        rollouts=rollouts,
-        seed=seed,
-        partitions=partitions,
+        query, order, catalog=catalog, rollouts=rollouts, seed=seed
     )
-    if partitions:
-        index_work = sum(
-            min(e.candidates, e.pruned_candidates) for e in estimates
-        )
-    else:
-        index_work = sum(e.candidates for e in estimates)
+    index_work = sum(e.candidates for e in estimates)
     return sum(e.survivors for e in estimates) + 1e-3 * index_work
 
 
@@ -404,7 +387,6 @@ def best_order_by_estimate(
     query: SpatialQuery,
     estimator: str = "histogram",
     catalog: Optional[Catalog] = None,
-    partitions: int = 0,
 ) -> Tuple[str, ...]:
     """Exhaustively pick the order minimising the estimate (small n).
 
@@ -430,7 +412,7 @@ def best_order_by_estimate(
         costs = _exhaustive_costs(
             query,
             lambda order: estimate_order_cost_histogram(
-                query, order, catalog=catalog, partitions=partitions
+                query, order, catalog=catalog
             ),
         )
         best = _argmin_order(costs)
@@ -448,7 +430,6 @@ def plan_order(
     query: SpatialQuery,
     strategy: str = "greedy",
     catalog: Optional[Catalog] = None,
-    partitions: int = 0,
 ) -> Tuple[str, ...]:
     """Pick a retrieval order with the named strategy.
 
@@ -456,8 +437,7 @@ def plan_order(
     needed); ``"estimate"`` — exhaustive over the raw-size estimate;
     ``"histogram"`` — exhaustive over the statistics-catalog estimate,
     falling back to greedy when statistics are unusable.  This is the
-    ablation hook used by ``bench_order_ablation.py``.  ``partitions``
-    makes the histogram strategy cost partition pruning too.
+    ablation hook used by ``bench_order_ablation.py``.
     """
     if strategy == "greedy":
         return choose_order(query)
@@ -465,10 +445,7 @@ def plan_order(
         return best_order_by_estimate(query, estimator="raw")
     if strategy == "histogram":
         return best_order_by_estimate(
-            query,
-            estimator="histogram",
-            catalog=catalog,
-            partitions=partitions,
+            query, estimator="histogram", catalog=catalog
         )
     raise ValueError(
         f"unknown strategy {strategy!r}; expected one of {ORDER_STRATEGIES}"
@@ -542,85 +519,6 @@ def choose_aggregate_strategy(plan: "QueryPlan", mode: str) -> str:
     return "pushdown"
 
 
-def choose_join_strategies(
-    query: SpatialQuery,
-    order: Sequence[str],
-    catalog: Optional[Catalog] = None,
-    partitions: int = 0,
-    workers: int = 0,
-    rollouts: int = 6,
-    seed: int = 0,
-) -> Tuple[str, ...]:
-    """Pick a join algorithm per retrieval step (cost-based).
-
-    For each step of ``order`` the chooser compares, on the statistics
-    catalog's rollout estimates, the expected work of
-
-    * ``"probe"`` — index-nested-loop: one compiled range query per
-      incoming partial tuple (a full scan per *step* on unindexed
-      tables);
-    * ``"partition"`` — PartitionScan: a partition-MBR-pruned scan per
-      partial tuple (only meaningful with ``partitions > 0``);
-    * ``"pbsm"`` — the partition-based spatial-merge join: co-partition
-      the incoming tuples' probe boxes and the table, plane-sweep each
-      tile;
-    * ``"zorder"`` — the PROBE-style z-order merge join.
-
-    Bulk joins (pbsm/z-order) pay a per-row build cost, so they only
-    win when many partial tuples probe a large table; the thresholds
-    keep small steps on the classic probe path.  Any estimation failure
-    returns all-``"probe"`` — the safe default.
-    """
-    order = tuple(order)
-    try:
-        estimates = rollout_step_estimates(
-            query,
-            order,
-            catalog=catalog,
-            rollouts=rollouts,
-            seed=seed,
-            partitions=partitions,
-        )
-    except Exception:
-        return tuple("probe" for _ in order)
-    tiles = partitions if partitions > 0 else DEFAULT_TILES
-    speedup = max(1.0, float(workers)) ** 0.5  # pools amortise sweeps
-    out: List[str] = []
-    for est in estimates:
-        table = query.tables[est.variable]
-        n = len(table)
-        outer = est.partials_in
-        indexed = table.index_kind != "scan"
-        if indexed:
-            cost_probe = (
-                outer * math.log2(n + 2.0) * INDEX_PROBE_BRANCHING
-                + est.candidates
-            )
-        else:
-            cost_probe = outer * max(1.0, float(n))
-        costs = {"probe": cost_probe}
-        if partitions > 0:
-            # pruned_candidates already totals the rows read across all
-            # probing partial tuples (like scan_candidates does).
-            costs["partition"] = outer + est.pruned_candidates
-        if outer >= MIN_BULK_JOIN_OUTER and n >= MIN_BULK_JOIN_ROWS:
-            pair_tests = max(
-                est.candidates, outer * n / max(1.0, float(tiles))
-            )
-            costs["pbsm"] = (
-                1.5 * (outer + n) + pair_tests / speedup
-            )
-            costs["zorder"] = (
-                4.0 * (outer + n) * math.log2(outer + n + 2.0)
-                + 2.0 * est.candidates
-            )
-        best = min(
-            JOIN_STRATEGIES, key=lambda s: costs.get(s, float("inf"))
-        )
-        out.append(best)
-    return tuple(out)
-
-
 def choose_shard_strategies(
     query: SpatialQuery,
     order: Sequence[str],
@@ -636,8 +534,7 @@ def choose_shard_strategies(
     estimates are computed at shard granularity (``partitions=shards``
     summarises exactly the STR tiling the shards use, so
     ``pruned_candidates`` is the row total of the shards an MBR
-    semi-join would keep).  Costs mirror
-    :func:`choose_join_strategies`'s shapes:
+    semi-join would keep).  The costs:
 
     * ``"shardscan"`` — per partial tuple, one R-tree descent into each
       surviving shard (smaller trees: ``log2(n/shards)``), reading the
@@ -645,7 +542,7 @@ def choose_shard_strategies(
     * ``"shardjoin"`` — the bulk path: ``outer x shards`` MBR semi-join
       tests, a linear build over shipped probes + shard rows, and the
       sweep's pair tests amortised by the worker pool
-      (``sqrt(workers)``, like PBSM).
+      (``sqrt(workers)``).
 
     Bulk thresholds keep small steps on the per-tuple path; estimation
     failures return all-``"shardscan"`` — the safe default.

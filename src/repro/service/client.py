@@ -89,7 +89,7 @@ class ServiceClient:
         **options: Any,
     ) -> dict:
         """Execute constraint text; options are the uniform Session
-        keywords (``mode=``, ``join_strategy=``, ``partitions=``,
+        keywords (``mode=``, ``join_strategy=``, ``shards=``,
         ``parallel=``, ``limit=``) plus ``order``/``knn``/``aggregate``
         payloads."""
         return self._post(

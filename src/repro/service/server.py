@@ -503,6 +503,15 @@ _ROUTES = {
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error"}
 
 
+def _content_length(headers: Dict[str, str]) -> Optional[int]:
+    """The request's body length; ``None`` when the header is not a
+    non-negative decimal integer."""
+    value = headers.get("content-length", "") or "0"
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return int(value)
+
+
 class ServiceServer:
     """The asyncio HTTP/1.1 front end of a :class:`QueryService`."""
 
@@ -567,7 +576,16 @@ class ServiceServer:
                         break
                     name, _sep, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
+                length = _content_length(headers)
+                if length is None:
+                    # The body's extent is unknown, so the connection
+                    # cannot be resynchronised: answer and close.
+                    await self._respond(
+                        writer,
+                        400,
+                        {"error": "Content-Length must be a non-negative integer"},
+                    )
+                    break
                 body = await reader.readexactly(length) if length else b""
                 status, response = await self._dispatch(method, path, body)
                 await self._respond(writer, status, response)
@@ -592,8 +610,13 @@ class ServiceServer:
         if body:
             try:
                 payload = json.loads(body)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 return 400, {"error": f"body is not valid JSON: {exc}"}
+            if not isinstance(payload, dict):
+                return 400, {
+                    "error": "body must be a JSON object, got "
+                    f"{type(payload).__name__}"
+                }
         else:
             payload = {}
         handler = getattr(self.service, handler_name)

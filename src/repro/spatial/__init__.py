@@ -17,18 +17,14 @@ from .columnar import (
 from .gridfile import GridFile, GridStats
 from .join import index_nested_loop_join, synchronized_rtree_join
 from .partition import (
-    DEFAULT_TILES,
     Exchange,
     JoinStats,
-    Partition,
-    TablePartitioning,
     TileGrid,
     TileSpill,
     WorkerPool,
     mbr_may_match,
     pbsm_join,
     probe_box,
-    str_partition,
 )
 from .rangequery import (
     OPEN_EPS,
@@ -67,7 +63,6 @@ from .zorder import (
 __all__ = [
     "BACKENDS",
     "ColumnStore",
-    "DEFAULT_TILES",
     "Exchange",
     "FORMAT_VERSION",
     "GridFile",
@@ -75,7 +70,6 @@ __all__ = [
     "GridStats",
     "JoinStats",
     "OPEN_EPS",
-    "Partition",
     "PointRange",
     "ProbeCache",
     "RTree",
@@ -85,7 +79,6 @@ __all__ = [
     "ShardedTable",
     "SpatialObject",
     "SpatialTable",
-    "TablePartitioning",
     "TableShard",
     "TileGrid",
     "TileSpill",
@@ -108,7 +101,6 @@ __all__ = [
     "read_snapshot",
     "region_from_jsonable",
     "region_to_jsonable",
-    "str_partition",
     "synchronized_rtree_join",
     "table_from_jsonable",
     "table_to_jsonable",

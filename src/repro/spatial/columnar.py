@@ -178,8 +178,8 @@ def unpack_floats(blob: bytes) -> Tuple[float, ...]:
 
 
 # -- STR sort keys -------------------------------------------------------------
-# The Sort-Tile-Recursive build (R-tree bulk load, table partitioning,
-# shard splitting) repeatedly sorts boxes by per-dimension centers.  The
+# The Sort-Tile-Recursive build (R-tree bulk load, shard splitting)
+# repeatedly sorts boxes by per-dimension centers.  The
 # center key is the same IEEE double whether computed per-object or in
 # bulk, and a *stable* argsort of identical keys is the same permutation
 # as a stable sort — so the vectorized build packs bit-identical trees.

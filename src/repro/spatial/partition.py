@@ -1,13 +1,10 @@
-"""Spatial partitioning: STR tiles, the PBSM grid, and the Exchange driver.
+"""Spatial join kernels: the PBSM grid, tile spills, and the Exchange driver.
 
-Three pieces turn the single-partition engine into a partitioned,
-parallelisable one:
+The pieces every bulk spatial join builds on:
 
-* :func:`str_partition` — Sort-Tile-Recursive tiling of a table's rows
-  into disjoint :class:`Partition`\\ s, each carrying its member rows,
-  bounding box (MBR) and counts.  The partition MBRs are what
-  :class:`~repro.engine.physical.PartitionScan` prunes against and what
-  the statistics catalog records per partition.
+* :func:`mbr_may_match` / :func:`probe_box` — sound pruning tests: could
+  a box inside an MBR satisfy a compiled box query, and which single box
+  must every match overlap.  The shard coordinator prunes with them.
 
 * the **PBSM** machinery (after Patel & DeWitt's partition-based
   spatial-merge join): a uniform :class:`TileGrid` over the joint extent
@@ -18,7 +15,9 @@ parallelisable one:
   intersection, so boundary duplicates never leave their tile and no
   global "seen" set is needed.  That makes the tile tasks independent
   and order-insensitive: :func:`pbsm_join` returns the same pair list
-  whether tiles run serially or on a pool.
+  whether tiles run serially or on a pool.  The shard coordinator
+  (:mod:`repro.spatial.shard`) sweeps each shard with the same kernel
+  on a single-tile grid.
 
 * :class:`Exchange` — the driver that fans tile tasks out over a
   ``concurrent.futures`` thread or process pool, with a deterministic
@@ -45,26 +44,12 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from itertools import product
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, enclose_all
 from . import columnar
 from .columnar import pack_floats, unpack_floats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .table import SpatialObject, SpatialTable
-
-#: Default PBSM tile target when no partition count is configured.
-DEFAULT_TILES = 16
 
 
 def mbr_may_match(mbr: Box, query: BoxQuery) -> bool:
@@ -109,126 +94,6 @@ def probe_box(query: BoxQuery, extent: Box) -> Box:
     if any(c.is_empty() for c in candidates):
         return Box((), ())  # empty: nothing can match
     return min(candidates, key=lambda b: b.volume())
-
-
-# -- STR table partitioning ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Partition:
-    """One spatial partition: disjoint member rows plus their MBR.
-
-    ``indices`` holds each member's position in the owning table's
-    insertion order — the coordinates' slots in the table's
-    :class:`~repro.spatial.columnar.ColumnStore`, so a partition scan
-    can hand the batched kernels a candidate-index array instead of
-    walking row objects.  Empty for partitions built before the table
-    alignment is known (none of the in-tree constructors).
-    """
-
-    pid: int
-    mbr: Box
-    rows: Tuple["SpatialObject", ...]
-    indices: Tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class TablePartitioning:
-    """An STR tiling of one table's rows into spatial partitions.
-
-    Built by :func:`str_partition` (and cached on the table by
-    :meth:`repro.spatial.table.SpatialTable.partitioning`, keyed on the
-    mutation counter so any insert or reindex invalidates it).  Rows
-    with empty bounding boxes are excluded — they match no box query.
-    """
-
-    table_name: str
-    version: int
-    target: int
-    partitions: Tuple[Partition, ...]
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    @property
-    def total_rows(self) -> int:
-        return sum(len(p) for p in self.partitions)
-
-    def prune(self, query: BoxQuery) -> List[Partition]:
-        """Partitions whose MBR could contain a row matching ``query``."""
-        if query.is_unsatisfiable():
-            return []
-        return [p for p in self.partitions if mbr_may_match(p.mbr, query)]
-
-
-def _str_tiles(
-    rows: List["SpatialObject"], target: int, dim: int, d: int = 0
-) -> List[List["SpatialObject"]]:
-    """Recursive Sort-Tile-Recursive slicing over the centre coordinates.
-
-    The sort key is the boxes' centre along dimension ``d``, computed by
-    the columnar :func:`~repro.spatial.columnar.argsort_by_center`
-    kernel — the same ``(lo + hi) / 2`` doubles under a stable sort on
-    every backend, so the resulting tiling is bit-identical whether or
-    not numpy is installed.
-    """
-    if target <= 1 or len(rows) <= 1 or d >= dim:
-        return [rows]
-    dims_left = dim - d
-    slices = max(1, math.ceil(target ** (1.0 / dims_left)))
-    perm = columnar.argsort_by_center(
-        [o.box.lo[d] for o in rows], [o.box.hi[d] for o in rows]
-    )
-    rows = [rows[i] for i in perm]
-    per_slice = math.ceil(len(rows) / slices)
-    out: List[List["SpatialObject"]] = []
-    for i in range(0, len(rows), per_slice):
-        chunk = rows[i : i + per_slice]
-        out.extend(
-            _str_tiles(chunk, math.ceil(target / slices), dim, d + 1)
-        )
-    return out
-
-
-def str_partition(
-    table: "SpatialTable", n_partitions: int
-) -> TablePartitioning:
-    """STR-tile a table into ~``n_partitions`` disjoint spatial partitions.
-
-    Rows are sorted by box centre along dimension 0, sliced into
-    roughly ``sqrt(n)`` slabs, each slab sorted and sliced along the
-    next dimension, and so on — the same tiling STR bulk loading uses
-    for R-tree leaves, applied at partition granularity.  Each row lands
-    in exactly one partition; partition MBRs may overlap (boxes stick
-    out of their centre's tile), which is why pruning tests MBRs, not
-    tiles.
-    """
-    if n_partitions < 1:
-        raise ValueError(
-            f"n_partitions must be positive, got {n_partitions}"
-        )
-    positions = {id(obj): i for i, obj in enumerate(table)}
-    rows = [obj for obj in table if not obj.box.is_empty()]
-    tiles = _str_tiles(rows, n_partitions, table.dim) if rows else []
-    partitions = tuple(
-        Partition(
-            pid=pid,
-            mbr=enclose_all(o.box for o in tile),
-            rows=tuple(tile),
-            indices=tuple(positions[id(o)] for o in tile),
-        )
-        for pid, tile in enumerate(tiles)
-        if tile
-    )
-    return TablePartitioning(
-        table_name=table.name,
-        version=table._version,
-        target=n_partitions,
-        partitions=partitions,
-    )
 
 
 # -- the PBSM tile grid -------------------------------------------------------
@@ -866,7 +731,7 @@ class TileSpill:
 def pbsm_join(
     left: Sequence[Tuple[Box, object]],
     right: Sequence[Tuple[Box, object]],
-    n_tiles: int = DEFAULT_TILES,
+    n_tiles: int = 16,
     exchange: Optional[Exchange] = None,
     stats: Optional[JoinStats] = None,
     spill: Optional[int] = None,

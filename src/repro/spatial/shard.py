@@ -6,13 +6,16 @@ into disjoint **shards** — each owning its own packed R-tree, its own
 statistics — plus a **coordinator** that plans against the per-shard
 statistics and prunes work before any shard is touched:
 
-* :class:`ShardedTable` STR-tiles the rows (the same
-  :func:`~repro.spatial.partition._str_tiles` recursion partitioning
-  uses, so shard membership is deterministic and bit-identical across
-  columnar backends) and builds one :class:`TableShard` per tile
-  through the trusted sub-table path — the shards share the parent's
+* :class:`ShardedTable` STR-tiles the rows (:func:`_str_tiles`, the
+  table's one tiling: shard membership is deterministic and
+  bit-identical across columnar backends, and the statistics catalog
+  summarises the same tiles for the planner).  Each
+  :class:`TableShard` holds its member rows, MBR and sequence tags;
+  its sub-table (packed R-tree, columnar mirror, statistics) is built
+  through the trusted path on first use, once, and shares the parent's
   ``SpatialObject`` instances, so rows emitted from a shard are *the*
-  parent rows, not copies.
+  parent rows, not copies.  The coordinator join sweeps ``rows`` and
+  ``tags`` directly and never builds a sub-table.
 
 * the **MBR semi-join** (:meth:`ShardedTable.join_pairs`): a probe box
   can only match a row whose box it overlaps, and every row box lies
@@ -41,6 +44,7 @@ ones for every shard count, exchange kind and worker count.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass
@@ -48,12 +52,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, enclose_all
+from . import columnar
 from .columnar import pack_floats, unpack_floats
 from .partition import (
     Exchange,
     TileGrid,
     TileSpill,
-    _str_tiles,
     _sweep_tile,
     mbr_may_match,
 )
@@ -257,27 +261,84 @@ def _sweep_shard_task(
     return _sweep_tile((grid, 0, probes, rows))
 
 
-@dataclass(frozen=True)
-class TableShard:
-    """One shard: a disjoint row subset with its own index and stats.
+def _str_tiles(
+    rows: List["SpatialObject"], target: int, dim: int, d: int = 0
+) -> List[List["SpatialObject"]]:
+    """Recursive Sort-Tile-Recursive slicing over the centre coordinates.
 
-    ``table`` is a full :class:`~repro.spatial.table.SpatialTable`
-    built through the trusted path over the *parent's*
-    ``SpatialObject`` instances — its packed R-tree, columnar mirror,
-    statistics cache and query methods all work per shard, and rows it
-    returns are identical objects to the parent's.  ``tags`` are the
-    members' positions in the parent's nonempty-row insertion sequence
-    (exactly the row indices the engine's bulk joins use), in shard row
-    order.
+    Rows are sorted by box centre along dimension ``d``, sliced into
+    roughly ``target ** (1 / dims_left)`` slabs, and each slab is tiled
+    recursively along the next dimension — the tiling STR bulk loading
+    uses for R-tree leaves, applied at shard granularity.  The sort key
+    comes from the columnar
+    :func:`~repro.spatial.columnar.argsort_by_center` kernel — the same
+    ``(lo + hi) / 2`` doubles under a stable sort on every backend, so
+    the tiling is bit-identical whether or not numpy is installed.
+    """
+    if target <= 1 or len(rows) <= 1 or d >= dim:
+        return [rows]
+    dims_left = dim - d
+    slices = max(1, math.ceil(target ** (1.0 / dims_left)))
+    perm = columnar.argsort_by_center(
+        [o.box.lo[d] for o in rows], [o.box.hi[d] for o in rows]
+    )
+    rows = [rows[i] for i in perm]
+    per_slice = math.ceil(len(rows) / slices)
+    out: List[List["SpatialObject"]] = []
+    for i in range(0, len(rows), per_slice):
+        chunk = rows[i : i + per_slice]
+        out.extend(
+            _str_tiles(chunk, math.ceil(target / slices), dim, d + 1)
+        )
+    return out
+
+
+class TableShard:
+    """One shard: a disjoint row subset, its MBR, and a lazy sub-table.
+
+    ``rows`` are the member rows (the *parent's* ``SpatialObject``
+    instances) in shard row order; ``tags`` are their positions in the
+    parent's nonempty-row insertion sequence (exactly the row indices
+    the engine's bulk joins use).  :attr:`table` is a full
+    :class:`~repro.spatial.table.SpatialTable` over ``rows`` — packed
+    R-tree, columnar mirror, statistics cache — built on first use,
+    exactly once, under the owning sharding's lock.  The coordinator
+    join needs only ``rows``/``tags``, so a sharding that is only
+    joined (or only costed) never builds one.
     """
 
-    sid: int
-    mbr: Box
-    table: "SpatialTable"
-    tags: Tuple[int, ...]
+    def __init__(
+        self,
+        sid: int,
+        mbr: Box,
+        rows: Tuple["SpatialObject", ...],
+        tags: Tuple[int, ...],
+        parent: "SpatialTable",
+        lock: threading.Lock,
+    ) -> None:
+        self.sid = sid
+        self.mbr = mbr
+        self.rows = rows
+        self.tags = tags
+        self._parent = parent
+        self._lock = lock
+        self._table: Optional["SpatialTable"] = None  # guarded-by: _lock
 
     def __len__(self) -> int:
         return len(self.tags)
+
+    @property
+    def table(self) -> "SpatialTable":
+        """The shard's sub-table, built on first use (once)."""
+        table = self._table
+        if table is None:
+            with self._lock:
+                table = self._table
+                if table is None:
+                    table = self._table = _build_subtable(
+                        self._parent, self.sid, self.rows
+                    )
+        return table
 
     def statistics(self, **kwargs: Any) -> "TableStatistics":
         """The shard's own :class:`TableStatistics` (cached on it)."""
@@ -324,24 +385,40 @@ class ShardedTable:
 
     def __init__(
         self,
-        table_name: str,
-        dim: int,
-        version: int,
+        table: "SpatialTable",
         target: int,
-        shards: Tuple[TableShard, ...],
-        seq: Dict[int, int],
+        groups: Sequence[Sequence["SpatialObject"]],
+        mbrs: Optional[Sequence[Box]] = None,
     ) -> None:
-        self.table_name = table_name
-        self.dim = dim
-        self.version = version
+        """Shards over ``groups`` — disjoint, nonempty member-row lists
+        of ``table`` (its own instances, in shard row order).  ``mbrs``
+        are the groups' bounding boxes when the caller already has them
+        (a snapshot stores them); otherwise they are computed."""
+        rows = [obj for obj in table if not obj.box.is_empty()]
+        self._seq = {id(obj): i for i, obj in enumerate(rows)}
+        self.table_name = table.name
+        self.dim = table.dim
+        self.version = table._version
         self.target = target
-        self.shards = shards
-        self._seq = seq
         # One sharding serves every concurrent reader of its table, so
-        # publish() races: without the lock two readers could both miss
-        # the cache and publish the same shard's shared-memory block,
-        # leaking whichever one loses the dict store.
+        # publish() and the shards' lazy sub-table builds race: without
+        # the lock two readers could both miss and publish the same
+        # shard's shared-memory block (leaking whichever loses the dict
+        # store) or build the same sub-table twice.
         self._lock = threading.Lock()
+        if mbrs is None:
+            mbrs = [enclose_all(o.box for o in group) for group in groups]
+        self.shards = tuple(
+            TableShard(
+                sid=sid,
+                mbr=mbr,
+                rows=tuple(group),
+                tags=tuple(self._seq[id(o)] for o in group),
+                parent=table,
+                lock=self._lock,
+            )
+            for sid, (group, mbr) in enumerate(zip(groups, mbrs))
+        )
         self._blocks: Dict[int, Optional[ShardColumnBlock]] = {}  # guarded-by: _lock
         self.closed = False  # guarded-by: _lock
         self.shm_published = 0  # guarded-by: _lock
@@ -358,29 +435,8 @@ class ShardedTable:
                 f"n_shards must be positive, got {n_shards}"
             )
         rows = [obj for obj in table if not obj.box.is_empty()]
-        seq = {id(obj): i for i, obj in enumerate(rows)}
         tiles = _str_tiles(rows, n_shards, table.dim) if rows else []
-        shards: List[TableShard] = []
-        for tile in tiles:
-            if not tile:
-                continue
-            sid = len(shards)
-            shards.append(
-                TableShard(
-                    sid=sid,
-                    mbr=enclose_all(o.box for o in tile),
-                    table=_build_subtable(table, sid, tile),
-                    tags=tuple(seq[id(o)] for o in tile),
-                )
-            )
-        return cls(
-            table_name=table.name,
-            dim=table.dim,
-            version=table._version,
-            target=n_shards,
-            shards=tuple(shards),
-            seq=seq,
-        )
+        return cls(table, n_shards, [tile for tile in tiles if tile])
 
     @classmethod
     def from_row_groups(
@@ -388,37 +444,17 @@ class ShardedTable:
         table: "SpatialTable",
         target: int,
         groups: Sequence[Sequence["SpatialObject"]],
+        mbrs: Optional[Sequence[Box]] = None,
     ) -> "ShardedTable":
         """Rebuild a sharding from persisted per-shard row groups.
 
         The snapshot loader's path: ``groups`` holds each shard's
-        member rows (the parent table's own instances, shard row order)
-        as saved, so no STR re-sort happens and the rebuilt shards are
-        identical to the ones that were persisted.
+        member rows (and ``mbrs`` their bounding boxes) as saved, so no
+        STR re-sort happens and the rebuilt shards are identical to the
+        ones that were persisted.  Like :meth:`build`, it builds no
+        sub-table.
         """
-        rows = [obj for obj in table if not obj.box.is_empty()]
-        seq = {id(obj): i for i, obj in enumerate(rows)}
-        shards: List[TableShard] = []
-        for group in groups:
-            if not group:
-                continue
-            sid = len(shards)
-            shards.append(
-                TableShard(
-                    sid=sid,
-                    mbr=enclose_all(o.box for o in group),
-                    table=_build_subtable(table, sid, group),
-                    tags=tuple(seq[id(o)] for o in group),
-                )
-            )
-        return cls(
-            table_name=table.name,
-            dim=table.dim,
-            version=table._version,
-            target=target,
-            shards=tuple(shards),
-            seq=seq,
-        )
+        return cls(table, target, groups, mbrs)
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -454,7 +490,7 @@ class ShardedTable:
                 raise RuntimeError("ShardedTable is closed")
             if shard.sid in self._blocks:
                 return self._blocks[shard.sid]
-            boxes = [obj.box for obj in shard.table]
+            boxes = [obj.box for obj in shard.rows]
             try:
                 block = ShardColumnBlock.create(boxes, self.dim)
                 self.shm_published += 1
@@ -593,7 +629,7 @@ class ShardedTable:
                     st.shm_tasks += 1
                 else:
                     coords: List[float] = []
-                    for obj in shard.table:
+                    for obj in shard.rows:
                         coords.extend(obj.box.lo)
                         coords.extend(obj.box.hi)
                     ref = ("blob", pack_floats(coords), shard.tags)
@@ -617,7 +653,7 @@ class ShardedTable:
                 grid = TileGrid(extent=extent, shape=(1,) * self.dim)
                 rows = [
                     (obj.box, tag)
-                    for obj, tag in zip(shard.table, shard.tags)
+                    for obj, tag in zip(shard.rows, shard.tags)
                 ]
                 tasks.append((grid, 0, cand, rows))
             results = exchange.run(_sweep_tile, tasks)

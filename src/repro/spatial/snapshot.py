@@ -1,11 +1,11 @@
 """Versioned on-disk snapshots of spatial databases.
 
 A process serving the paper's queries should not pay a full STR build,
-statistics scan, and partitioning sort on every start.  This module
+statistics scan, and sharding sort on every start.  This module
 serializes everything a warm :class:`~repro.spatial.table.SpatialTable`
 holds — rows, the packed R-tree (as flat node arrays, *not* a pickled
 object graph), the :class:`~repro.engine.catalog.TableStatistics`
-cache, and the STR :class:`~repro.spatial.partition.TablePartitioning`
+cache, and the STR :class:`~repro.spatial.shard.ShardedTable` membership
 — into one JSON file, and loads it back without re-running any of those
 builds:
 
@@ -19,13 +19,13 @@ builds:
 * grid and scan backends rebuild deterministically by inserting rows in
   saved order (their builds are linear — the R-tree's sort is the
   startup cost worth snapshotting);
-* cached statistics reference their row sample by index, and the
-  partitioning stores per-partition row indices, so the loaded table
-  answers :meth:`statistics`/:meth:`partitioning` from the snapshot;
+* cached statistics reference their row sample by index, so the loaded
+  table answers :meth:`statistics` from the snapshot;
 * a cached :class:`~repro.spatial.shard.ShardedTable` stores each
   shard's member row slots in shard row order, so the loaded table's
   :meth:`sharding` rebuilds identical shards (same membership, same
-  tags, same answer streams) without re-running the STR sort.
+  tags, same answer streams) without re-running the STR sort.  Loading
+  builds no shard sub-table: each is built on its first probe.
 
 Writes are atomic: the file is written to a sibling temporary path and
 moved into place with ``os.replace``, so a crashed save never leaves a
@@ -47,7 +47,6 @@ from ..algebra.regions import Region
 from ..boxes.box import EMPTY_BOX, Box, box_from_jsonable, box_to_jsonable
 from ..errors import SnapshotError
 from .columnar import pack_floats, unpack_floats
-from .partition import Partition, TablePartitioning
 from .shard import ShardedTable
 from .rtree import RTree
 from .table import SpatialObject, SpatialTable
@@ -86,7 +85,7 @@ def _decode_oid(data: object) -> object:
 # plus every r-tree node entry.  Dumped as JSON number lists they
 # dominate the load's parse time; packed as little-endian doubles in a
 # base64 string they parse in one ``struct.unpack`` call and round-trip
-# bit-exactly.  Everything else (oids, counts, statistics, partitioning)
+# bit-exactly.  Everything else (oids, counts, statistics, shard rows)
 # stays plain JSON.  The raw packing lives in
 # :mod:`repro.spatial.columnar` (the process-pool Exchange ships tile
 # payloads through the same helpers); here it is base64-armored for JSON.
@@ -156,23 +155,6 @@ def table_to_jsonable(table: SpatialTable) -> dict:
             for key, stats in table._stats_cache.items()
         ]
     if (
-        table._partitioning_cache is not None
-        and table._partitioning_key is not None
-        and table._partitioning_key[0] == table._version
-    ):
-        tiling = table._partitioning_cache
-        data["partitioning"] = {
-            "target": tiling.target,
-            "partitions": [
-                {
-                    "pid": p.pid,
-                    "mbr": box_to_jsonable(p.mbr),
-                    "rows": [row_index[id(obj)] for obj in p.rows],
-                }
-                for p in tiling.partitions
-            ],
-        }
-    if (
         table._sharding_cache is not None
         and table._sharding_key is not None
         and table._sharding_key[0] == table._version
@@ -183,9 +165,10 @@ def table_to_jsonable(table: SpatialTable) -> dict:
             # Per-shard member row slots in shard row order — enough to
             # rebuild identical shards without re-running the STR sort.
             "shards": [
-                [row_index[id(obj)] for obj in shard.table]
+                [row_index[id(obj)] for obj in shard.rows]
                 for shard in sharding.shards
             ],
+            "mbrs": [box_to_jsonable(shard.mbr) for shard in sharding.shards],
         }
     return data
 
@@ -195,8 +178,10 @@ def table_from_jsonable(data: dict) -> SpatialTable:
 
     Rows are installed directly (no per-insert version bumps), the
     R-tree is reattached from its node arrays, and the statistics and
-    partitioning caches are re-seeded, so the loaded table plans and
-    probes exactly like the one that was saved.
+    sharding caches are re-seeded, so the loaded table plans and probes
+    exactly like the one that was saved.  A ``"partitioning"`` section
+    written by older builds is ignored: the catalog's per-shard
+    summaries travel with the statistics.
     """
     from ..engine.catalog import TableStatistics
 
@@ -277,26 +262,10 @@ def table_from_jsonable(data: dict) -> SpatialTable:
             for entry in data["statistics"]
         }
         table._stats_version = table._version
-    part = data.get("partitioning")
-    if part is not None:
-        table._partitioning_cache = TablePartitioning(
-            table_name=table.name,
-            version=table._version,
-            target=int(part["target"]),
-            partitions=tuple(
-                Partition(
-                    pid=int(p["pid"]),
-                    mbr=box_from_jsonable(p["mbr"]),
-                    rows=tuple(rows[int(i)] for i in p["rows"]),
-                    indices=tuple(int(i) for i in p["rows"]),
-                )
-                for p in part["partitions"]
-            ),
-        )
-        table._partitioning_key = (table._version, 0, int(part["target"]))
     shard_data = data.get("sharding")
     if shard_data is not None:
         target = int(shard_data["target"])
+        mbrs = shard_data.get("mbrs")
         table._sharding_cache = ShardedTable.from_row_groups(
             table,
             target,
@@ -304,6 +273,8 @@ def table_from_jsonable(data: dict) -> SpatialTable:
                 [rows[int(i)] for i in group]
                 for group in shard_data["shards"]
             ],
+            # Older snapshots carry no MBRs; they are then recomputed.
+            None if mbrs is None else [box_from_jsonable(m) for m in mbrs],
         )
         table._sharding_key = (table._version, 0, target)
     return table

@@ -12,8 +12,8 @@ contract (and are property-tested to agree):
 * ``"scan"`` — sequential scan (the baseline every bench compares to).
 
 The table records probe statistics uniformly so benchmarks can compare
-backends.  For partitioned execution, :meth:`SpatialTable.partitioning`
-caches an STR tiling of the rows (see :mod:`repro.spatial.partition`),
+backends.  For sharded execution, :meth:`SpatialTable.sharding` caches
+an STR tiling of the rows (see :mod:`repro.spatial.shard`),
 invalidated — like the statistics cache and every
 :class:`ProbeCache` entry — by the table's mutation counter.
 
@@ -307,15 +307,13 @@ class SpatialTable:
         self.delta_probes = 0
         self.repacks = 0
         # Mutation counter; invalidates the cached statistics and
-        # partitioning below (and every ProbeCache entry for this table).
+        # sharding below (and every ProbeCache entry for this table).
         self._version = 0
         # Per-parameter statistics cache for the current version: one
         # planning pass may legitimately ask for several parameter sets
-        # (e.g. with and without partition summaries).
+        # (e.g. with and without per-shard summaries).
         self._stats_cache: Dict[Tuple, object] = {}
         self._stats_version: Optional[int] = None
-        self._partitioning_cache = None
-        self._partitioning_key: Optional[Tuple] = None
         self._sharding_cache = None
         self._sharding_key: Optional[Tuple] = None
         # LSM-style write delta (None until the first staged mutation).
@@ -595,8 +593,6 @@ class SpatialTable:
         clone._stats_cache = dict(self._stats_cache)
         clone._stats_version = self._stats_version
         clone._delta_stats_cache = {}
-        clone._partitioning_cache = None
-        clone._partitioning_key = None
         clone._sharding_cache = None
         clone._sharding_key = None
         clone._delta = self._delta.clone() if self._delta is not None else None
@@ -1179,25 +1175,6 @@ class SpatialTable:
             }
         return {"kind": "scan"}
 
-    # -- partitioning (partitioned execution) -------------------------------------
-    def partitioning(self, n_partitions: int):
-        """An STR tiling of this table's rows, cached by version.
-
-        Built lazily by :func:`repro.spatial.partition.str_partition`
-        over the live rows; the cache key is the ``(base version,
-        delta watermark)`` snapshot token, so direct mutations,
-        reindexes, staged writes and repacks all invalidate it.  Used
-        by the partition-aware physical operators (``PartitionScan``)
-        and the statistics catalog.
-        """
-        key = (self._version, self.delta_watermark, n_partitions)
-        if self._partitioning_key != key:
-            from .partition import str_partition
-
-            self._partitioning_cache = str_partition(self, n_partitions)
-            self._partitioning_key = key
-        return self._partitioning_cache
-
     # -- sharding (scale-out execution) --------------------------------------------
     def sharding(self, n_shards: int):
         """An STR sharding of this table's rows, cached by version.
@@ -1209,7 +1186,8 @@ class SpatialTable:
         the superseded sharding is closed (its shared-memory
         publications unlinked) before the rebuild.  Used by the
         shard-aware physical operators (``ShardScan``, ``ShardedJoin``)
-        and the planner's shard costing.
+        and by the statistics catalog's per-shard summaries, which the
+        planner's shard costing reads.
         """
         key = (self._version, self.delta_watermark, n_shards)
         if self._sharding_key != key:
@@ -1233,11 +1211,12 @@ class SpatialTable:
 
         Any insert or reindex invalidates the cache (it is keyed on the
         mutation counter); within one version, each distinct parameter
-        set is computed once — planning passes that mix partitioned and
-        unpartitioned statistics do not thrash.  ``partitions > 0``
-        also collects per-partition counts and bounding boxes (for
-        costing partition pruning).  See :mod:`repro.engine.catalog`
-        for the statistics' contents.
+        set is computed once — planning passes that mix per-shard and
+        whole-table statistics do not thrash.  ``partitions > 0`` also
+        summarises the table's :meth:`sharding` at that granularity
+        (per-shard counts and bounding boxes, for costing shard
+        pruning).  See :mod:`repro.engine.catalog` for the statistics'
+        contents.
 
         While a write delta is pending the base statistics are *not*
         resampled: the cached base entry (computed over base rows only,
@@ -1268,7 +1247,7 @@ class SpatialTable:
             return self._stats_cache[key]
         # Base statistics come from the base rows alone (the live
         # iterator would leak staged rows into them) and never carry
-        # partition summaries — the tiling is rebuilt per watermark.
+        # shard summaries — the tiling is rebuilt per watermark.
         base_key = (bins, sample_size, seed, 0)
         if base_key not in self._stats_cache:
             base_rows = [
@@ -1307,9 +1286,9 @@ class SpatialTable:
                     stats,
                     partitions=tuple(
                         PartitionStatistics(
-                            pid=part.pid, count=len(part), mbr=part.mbr
+                            pid=shard.sid, count=len(shard), mbr=shard.mbr
                         )
-                        for part in self.partitioning(partitions).partitions
+                        for shard in self.sharding(partitions).shards
                     ),
                 )
             self._delta_stats_cache[dkey] = stats

@@ -22,6 +22,7 @@ from repro.spatial import (
     ColumnStore,
     Exchange,
     JoinStats,
+    ShardJoinStats,
     SpatialTable,
     active_backend,
     forced_backend,
@@ -279,6 +280,26 @@ class TestVectorizedSweep:
         assert got_stats.pair_tests == want_stats.pair_tests
         assert got_stats.dedup_skipped == want_stats.dedup_skipped
         assert got_stats.pairs == want_stats.pairs
+
+    @pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
+    def test_shard_join_pairs_match_scalar(self, backend):
+        """The shard coordinator sweeps each shard with the same kernel:
+        pairs and pair tests are identical on every backend."""
+        table = random_table("t", random.Random(47), 80)
+        probes = [
+            (i, b) for i, b in enumerate(_random_boxes(48, 30, allow_empty=False))
+        ]
+        results = {}
+        for name in ("off", backend):
+            with forced_backend(name):
+                sharding = table.sharding(4)
+                stats = ShardJoinStats()
+                results[name] = (
+                    sorted(sharding.join_pairs(probes, stats=stats)),
+                    stats.pair_tests,
+                    stats.probes_shipped,
+                )
+        assert results[backend] == results["off"]
 
     def test_packed_tile_task_round_trips(self):
         left, right = self._tile_inputs(43)

@@ -1,16 +1,18 @@
 """Regression tests for the lock-discipline fixes flagged by repro-lint.
 
-Three shared-state classes had check-then-act races on their lazy
+Shared-state classes with check-then-act races on their lazy
 construction paths: ``WorkerPool.executor`` (two threads could each
 build an executor, stranding one unclosed), ``Database.worker_pool``
-(two sessions could each install a pool for the same shape), and
+(two sessions could each install a pool for the same shape),
 ``ShardedTable.publish`` (two readers could both publish a shard's
-shared-memory block, leaking whichever loses the dict store).  Each
-test hammers the lazy path from many threads through a barrier and
-asserts exactly-once construction.
+shared-memory block, leaking whichever loses the dict store) and
+``TableShard.table`` (two readers could both build a shard's
+sub-table).  Each test hammers the lazy path from many threads through
+a barrier and asserts exactly-once construction.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -107,3 +109,29 @@ def test_sharded_table_close_is_idempotent_and_publish_after_raises():
     sharding.close()
     with pytest.raises(RuntimeError):
         sharding.publish(sharding.shards[0])
+
+
+def test_shard_subtable_is_built_exactly_once(monkeypatch):
+    from repro.spatial import shard as shard_mod
+
+    calls = []
+    real_build = shard_mod._build_subtable
+
+    def counting_build(parent, sid, rows):
+        calls.append(sid)
+        time.sleep(0.01)  # widen the race window for the other threads
+        return real_build(parent, sid, rows)
+
+    monkeypatch.setattr(shard_mod, "_build_subtable", counting_build)
+    tables, _bindings = make_workload(11, sizes=(8, 12))
+    table = next(iter(tables.values()))
+    sharding = ShardedTable.build(table, 2)
+    try:
+        shard = sharding.shards[0]
+        assert calls == []  # building the sharding builds no sub-table
+        subs = hammer(lambda: shard.table)
+        assert all(sub is subs[0] for sub in subs)
+        assert calls == [shard.sid]
+        assert [o.oid for o in subs[0]] == [o.oid for o in shard.rows]
+    finally:
+        sharding.close()

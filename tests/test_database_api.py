@@ -1,8 +1,7 @@
 """The unified ``Database``/``Session`` facade (ISSUE satellite 1/2/3).
 
 Covers: parity with the low-level entry points, the uniform option
-vocabulary, deprecation shims (warn **and** return identical results),
-JSON round trips for the stats dataclasses, and the probe-cache purge
+vocabulary, JSON round trips for the stats dataclasses, and the probe-cache purge
 hook the service's snapshot swap relies on.
 """
 
@@ -16,12 +15,7 @@ from repro.boxes import Box
 from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
 from repro.datagen import smugglers_query
 from repro.engine import compile_query
-from repro.engine.executor import (
-    answers_as_oid_tuples,
-    execute,
-    first_k,
-    run_query,
-)
+from repro.engine.executor import answers_as_oid_tuples, execute
 from repro.engine.stats import ExecutionStats
 from repro.spatial import SpatialTable
 from repro.spatial.gridfile import GridStats
@@ -136,16 +130,28 @@ def test_session_rejects_unknown_option():
         Session(modee="boxplan")
 
 
+def test_session_removed_options_fail_clearly():
+    """``partitions=`` is gone (one STR tiling: ``shards=``); the
+    option error lists the valid vocabulary."""
+    with pytest.raises(TypeError, match="'shards'"):
+        Session(partitions=2)
+    with pytest.raises(TypeError):
+        Session().run("u sect v ~= 0;", partitions=2)
+
+
 def test_session_partitioned_matches_serial(workload):
     query, _map = workload
     expected, _stats = _baseline(query)
     for kwargs in (
-        {"partitions": 4},
-        {"partitions": 4, "parallel": 2},
-        {"join_strategy": "pbsm", "partitions": 4},
+        {"shards": 4},
+        {"shards": 4, "parallel": 2},
+        {"join_strategy": "shardjoin", "shards": 4},
+        {"join_strategy": "shardscan", "shards": 4, "parallel": 2},
     ):
         result = Session().run(query, **kwargs)
         assert result.oid_tuples() == expected, kwargs
+    with pytest.raises(ValueError, match=r"expected one of \('probe',\)"):
+        Session().run(query, join_strategy="pbsm")
 
 
 def test_session_text_needs_db():
@@ -190,24 +196,6 @@ def test_session_nearest_matches_table(db, workload):
     ]
     with pytest.raises(ValueError, match="needs a Database"):
         Session().nearest("T", (1.0, 1.0), 3)
-
-
-# -- deprecation shims ---------------------------------------------------------
-def test_run_query_shim_warns_and_matches(workload):
-    query, _map = workload
-    expected, expected_stats = _baseline(query)
-    with pytest.warns(DeprecationWarning, match="Session"):
-        answers, stats = run_query(query, mode="boxplan")
-    assert answers_as_oid_tuples(answers, query.order) == expected
-    assert stats.to_dict() == expected_stats.to_dict()
-
-
-def test_first_k_shim_warns_and_matches(workload):
-    query, _map = workload
-    plan = compile_query(query)
-    with pytest.warns(DeprecationWarning, match="Session"):
-        answers = first_k(plan, 2)
-    assert answers == Session().run(plan, limit=2).answers
 
 
 # -- stats JSON round trips ----------------------------------------------------

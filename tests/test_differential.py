@@ -3,7 +3,7 @@
 The new workload families both have trivially correct references —
 sort-all-rows-by-distance for kNN, a Python fold over the naive answer
 set for aggregation — so every optimized path is checked for *equality*
-against them, across execution mode × join strategy × partition count
+against them, across execution mode × shard strategy × shard count
 (the four-mode answer-set equality pattern extended to the new
 subsystem).  Workloads come from the shared seeded factory in
 ``tests/conftest.py``; CI replays this module under a seed matrix.
@@ -36,7 +36,8 @@ from tests.conftest import (
     shifted_seed,
 )
 
-STRATEGIES = (None, "pbsm", "partition", "zorder")
+#: The sharded access paths (``None`` = the planner's per-step pick).
+STRATEGIES = (None, "shardscan", "shardjoin")
 
 
 def _knn_reference_oids(table, anchor, k):
@@ -78,7 +79,7 @@ def test_table_nearest_equals_bruteforce(seed, k, box_anchor):
 
 
 # ---------------------------------------------------------------------------
-# Query-level: the kNN restriction across mode × strategy × partitions
+# Query-level: the kNN restriction across mode × strategy × shards
 # ---------------------------------------------------------------------------
 
 
@@ -94,8 +95,8 @@ def test_table_nearest_equals_bruteforce(seed, k, box_anchor):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_knn_query_differential(system, seed, k, strategy, n_partitions):
-    """A kNN-restricted query returns, in every mode/strategy/partition
+def test_knn_query_differential(system, seed, k, strategy, n_shards):
+    """A kNN-restricted query returns, in every mode/strategy/shard
     configuration, exactly the plain query's answers whose kNN variable
     lies in the brute-force k-nearest set."""
     tables, bindings = make_workload(seed, system=system)
@@ -146,12 +147,12 @@ def test_knn_query_differential(system, seed, k, strategy, n_partitions):
             plan,
             mode,
             estimate=False,
-            partitions=n_partitions,
+            shards=n_shards,
             join_strategy=strategy,
         )
         got = answers_as_oid_tuples(list(pplan.execute_iter()), order)
         assert got == expected, (
-            f"{mode}/{strategy}/partitions={n_partitions} diverged"
+            f"{mode}/{strategy}/shards={n_shards} diverged"
         )
 
 
@@ -210,9 +211,9 @@ def _python_aggregate(answers, spec):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_aggregate_differential(system, seed, strategy, n_partitions):
+def test_aggregate_differential(system, seed, strategy, n_shards):
     """Aggregate rows equal the Python fold over the naive answers in
-    every mode, join strategy, and partition count."""
+    every mode, shard strategy, and shard count."""
     tables, bindings = make_workload(seed, system=system)
     if not tables:
         return
@@ -258,12 +259,12 @@ def test_aggregate_differential(system, seed, strategy, n_partitions):
             plan,
             mode,
             estimate=False,
-            partitions=n_partitions,
+            shards=n_shards,
             join_strategy=strategy,
         )
         check(
             list(pplan.execute_iter()),
-            f"{mode}/{strategy}/partitions={n_partitions}",
+            f"{mode}/{strategy}/shards={n_shards}",
         )
 
 
@@ -331,13 +332,13 @@ def test_box_count_pushdown_differential(seed, use_overlap):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_vectorized_execution_differential(
-    system, seed, strategy, n_partitions, index
+    system, seed, strategy, n_shards, index
 ):
     """Vectorized plans return exactly the per-object plans' answers in
-    every mode × join strategy × partition count × index backend, under
+    every mode × shard strategy × shard count × index backend, under
     both columnar backends.  This drives every engine-level kernel:
-    batched scan filters, columnar R-tree descent, the PBSM tile sweep,
-    partition-pruned batch matching, and batched z-order keys."""
+    batched scan filters, columnar R-tree descent (unsharded and per
+    shard), the shard plane sweep, and batched pair verification."""
     tables, bindings = make_workload(seed, system=system, index=index)
     if not tables:
         return
@@ -353,7 +354,7 @@ def test_vectorized_execution_differential(
                 plan,
                 mode,
                 estimate=False,
-                partitions=n_partitions,
+                shards=n_shards,
                 join_strategy=strategy,
             )
             expected = answers_as_oid_tuples(
@@ -366,7 +367,7 @@ def test_vectorized_execution_differential(
                     plan,
                     mode,
                     estimate=False,
-                    partitions=n_partitions,
+                    shards=n_shards,
                     join_strategy=strategy,
                     vectorize=True,
                 )
@@ -374,18 +375,15 @@ def test_vectorized_execution_differential(
                     list(pplan.execute_iter()), order
                 )
             assert got == expected, (
-                f"{mode}/{strategy}/partitions={n_partitions}/"
+                f"{mode}/{strategy}/shards={n_shards}/"
                 f"{index}/{backend} diverged for:\n{system}"
             )
-
-
-SHARD_STRATEGIES = (None, "shardscan", "shardjoin")
 
 
 @given(
     constraint_systems(),
     st.integers(0, 10_000),
-    st.sampled_from(SHARD_STRATEGIES),
+    st.sampled_from(STRATEGIES),
     st.integers(1, 6),
     st.sampled_from((0, 2)),
 )
@@ -505,13 +503,13 @@ def test_vectorized_nearest_differential(seed, k, box_anchor):
 # ---------------------------------------------------------------------------
 
 
-#: Physical layouts the delta differential sweeps: serial, partitioned
-#: (threaded PBSM), and sharded — including the bounded-memory spill
-#: and the process-pool shared-memory paths.
+#: Physical layouts the delta differential sweeps: serial, and sharded
+#: (planner-picked, threaded coordinator join) — including the
+#: bounded-memory spill and the process-pool shared-memory paths.
 DELTA_LAYOUTS = (
     {},
-    {"partitions": 3, "join_strategy": "pbsm"},
-    {"partitions": 3, "join_strategy": "pbsm", "parallel": 2},
+    {"shards": 3},
+    {"shards": 3, "join_strategy": "shardjoin", "parallel": 2},
     {"shards": 3, "join_strategy": "shardscan"},
     {"shards": 3, "join_strategy": "shardjoin", "spill": 8},
     {
@@ -571,7 +569,7 @@ def test_delta_staged_execution_differential(system, seed, layout_index):
     """A delta-staged table (half its rows in the write delta, ghosts
     tombstoned) and its post-repack form return exactly the fresh
     table's answer sets, in every box mode x physical layout (serial,
-    partitioned, sharded, spilled, process-pool) x columnar backend."""
+    sharded, threaded, spilled, process-pool) x columnar backend."""
     layout = DELTA_LAYOUTS[layout_index]
     tables, bindings = make_workload(seed, system=system)
     if not tables:

@@ -224,19 +224,29 @@ class TestCli:
 
         proc = _cli(
             "bench", "--workload", "smugglers", "--size", "8",
-            "--partitions", "4", "--parallel", "2", "--json",
+            "--shards", "4", "--parallel", "2", "--json",
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert result["partitions"] == 4
+        assert result["shards"] == 4
         assert result["parallel"] == 2
         assert len(result["joins"]) == 3
+        assert set(result["joins"]) <= {"shardscan", "shardjoin"}
 
     def test_explain_partitioned_join(self):
         proc = _cli(
             "explain", "--workload", "smugglers", "--size", "8",
-            "--partitions", "4", "--join", "pbsm", "--analyze",
+            "--shards", "4", "--join", "shardjoin", "--analyze",
         )
         assert proc.returncode == 0, proc.stderr
-        assert "PartitionedSpatialJoin" in proc.stdout
+        assert "ShardedJoin" in proc.stdout
         assert "joins: " in proc.stdout
+
+    def test_removed_partition_flags_rejected(self):
+        proc = _cli("bench", "--workload", "smugglers", "--partitions", "4")
+        assert proc.returncode == 2
+        assert "--partitions" in proc.stderr
+        for removed in ("pbsm", "partition", "zorder"):
+            proc = _cli("explain", "--join", removed)
+            assert proc.returncode == 2
+            assert "invalid choice" in proc.stderr

@@ -1,4 +1,9 @@
-"""The partitioning subsystem: STR tiles, PBSM, Exchange, operators."""
+"""Spatial tiling and joins: the STR tiling, PBSM, Exchange, operators.
+
+A table has one STR tiling, its sharding; the catalog's per-tile
+summaries and the shard operators both read it.  PBSM and the Exchange
+stay as spatial-layer kernels (the shard sweep runs on them).
+"""
 
 import random
 
@@ -8,13 +13,13 @@ from repro.algebra import Region
 from repro.boxes import Box, BoxQuery
 from repro.datagen import overlay_query, smugglers_query
 from repro.engine import (
+    SHARD_STRATEGIES,
     Catalog,
-    PartitionScan,
-    PartitionedSpatialJoin,
-    ZOrderJoin,
+    ShardScan,
+    ShardedJoin,
     answers_as_oid_tuples,
     build_physical_plan,
-    choose_join_strategies,
+    choose_shard_strategies,
     compile_query,
     execute,
     rollout_step_estimates,
@@ -22,12 +27,12 @@ from repro.engine import (
 from repro.spatial import (
     Exchange,
     JoinStats,
+    ShardedTable,
     SpatialTable,
     TileGrid,
     mbr_may_match,
     pbsm_join,
     probe_box,
-    str_partition,
 )
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
@@ -58,46 +63,48 @@ def _table(n=120, seed=3, index="rtree"):
 
 
 class TestStrPartition:
+    """The table's one STR tiling (``SpatialTable.sharding``)."""
+
     def test_rows_covered_exactly_once(self):
         t = _table(150)
-        p = t.partitioning(8)
-        oids = sorted(o.oid for part in p.partitions for o in part.rows)
+        p = t.sharding(8)
+        oids = sorted(o.oid for shard in p.shards for o in shard.rows)
         assert oids == list(range(150))
         assert p.total_rows == 150
 
     def test_mbrs_contain_their_rows(self):
-        p = _table(100).partitioning(6)
-        for part in p.partitions:
-            for obj in part.rows:
-                assert obj.box.le(part.mbr)
+        p = _table(100).sharding(6)
+        for shard in p.shards:
+            for obj in shard.rows:
+                assert obj.box.le(shard.mbr)
 
     def test_pruning_is_sound(self):
         t = _table(200, seed=9)
-        p = t.partitioning(9)
+        p = t.sharding(9)
         rng = random.Random(4)
         for _ in range(30):
             lo = (rng.uniform(0, 90), rng.uniform(0, 90))
             probe = Box(lo, (lo[0] + rng.uniform(1, 15), lo[1] + 5.0))
             query = BoxQuery(overlap=(probe,))
-            surviving = {part.pid for part in p.prune(query)}
-            for part in p.partitions:
-                if part.pid in surviving:
+            surviving = {shard.sid for shard in p.prune(query)}
+            for shard in p.shards:
+                if shard.sid in surviving:
                     continue
-                # Pruned partitions must hold no matching row.
-                assert not any(query.matches(o.box) for o in part.rows)
+                # Pruned shards must hold no matching row.
+                assert not any(query.matches(o.box) for o in shard.rows)
 
     def test_cache_invalidated_by_mutation(self):
         t = _table(30)
-        p1 = t.partitioning(4)
-        assert t.partitioning(4) is p1  # cached
+        p1 = t.sharding(4)
+        assert t.sharding(4) is p1  # cached
         t.insert(999, Region.from_box(Box((1, 1), (2, 2))))
-        p2 = t.partitioning(4)
+        p2 = t.sharding(4)
         assert p2 is not p1
         assert p2.total_rows == 31
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
-            str_partition(_table(5), 0)
+            ShardedTable.build(_table(5), 0)
 
 
 class TestProbeBox:
@@ -222,7 +229,7 @@ class TestPBSMJoin:
 
 
 class TestPartitionedOperators:
-    """The partition-aware physical plans return the classic answers."""
+    """The sharded physical plans return the classic answers."""
 
     def _plan(self, index="rtree", size=18):
         query, _world = smugglers_query(
@@ -238,13 +245,13 @@ class TestPartitionedOperators:
             execute(plan, "boxplan")[0], order
         )
         assert reference  # non-trivial workload
-        for strategy in ("partition", "pbsm", "zorder"):
+        for strategy in SHARD_STRATEGIES:
             for parallel in (0, 3):
                 pplan = build_physical_plan(
                     plan,
                     "boxplan",
                     estimate=False,
-                    partitions=5,
+                    shards=5,
                     parallel=parallel,
                     join_strategy=strategy,
                 )
@@ -260,95 +267,107 @@ class TestPartitionedOperators:
             tuple(a[v].oid for v in plan.order)
             for a in build_physical_plan(
                 plan, "boxplan", estimate=False,
-                partitions=6, join_strategy="pbsm",
+                shards=6, join_strategy="shardjoin",
             ).execute_iter()
         ]
         threaded = [
             tuple(a[v].oid for v in plan.order)
             for a in build_physical_plan(
                 plan, "boxplan", estimate=False,
-                partitions=6, parallel=4, join_strategy="pbsm",
+                shards=6, parallel=4, join_strategy="shardjoin",
             ).execute_iter()
         ]
         assert threaded == serial
 
     def test_partition_scan_replaces_scan_backend_lowering(self):
+        """Sharding gives an unindexed table per-shard R-trees: the
+        scan backend's TableScan lowering gives way to ShardScan."""
         plan = self._plan(index="scan", size=12)
         pplan = build_physical_plan(
-            plan, "boxplan", estimate=False, partitions=4
+            plan, "boxplan", estimate=False, shards=4,
+            join_strategy="shardscan",
         )
         kinds = [op.kind for op in pplan.operators()]
-        assert "PartitionScan" in kinds
+        assert "ShardScan" in kinds
         assert "TableScan" not in kinds
         order = list(plan.order)
         reference = answers_as_oid_tuples(execute(plan, "boxplan")[0], order)
         answers, stats = pplan.run()
         assert answers_as_oid_tuples(answers, order) == reference
-        # Pruning actually skipped partitions somewhere in the chain.
+        # Pruning actually skipped shards somewhere in the chain.
         pruned = sum(
-            op.stats.partitions_pruned
+            op.stats.shards_pruned
             for op in pplan.operators()
-            if isinstance(op, PartitionScan)
+            if isinstance(op, ShardScan)
         )
         assert pruned > 0
 
     def test_explain_renders_partition_operators(self):
         plan = self._plan(size=10)
         pplan = build_physical_plan(
-            plan, "boxplan", partitions=4, parallel=2, join_strategy="pbsm"
+            plan, "boxplan", shards=4, parallel=2, join_strategy="shardjoin"
         )
         pplan.run()
         text = pplan.explain()
-        assert "PartitionedSpatialJoin" in text
-        assert "tiles=4" in text
+        assert "ShardedJoin" in text
+        assert "shards=4," in text
         assert "exchange=threadx2" in text
-        assert "partitions=4" in text
+        assert "  shards=4  exchange=threadx2  joins: " in text
 
     def test_boxonly_mode_supports_strategies(self):
         plan = self._plan(size=10)
         order = list(plan.order)
         reference = answers_as_oid_tuples(execute(plan, "boxonly")[0], order)
-        for strategy in ("pbsm", "zorder", "partition"):
-            answers, _ = execute(
-                plan, "boxonly", partitions=4, join_strategy=strategy
-            )
+        for strategy in SHARD_STRATEGIES:
+            answers, _ = build_physical_plan(
+                plan, "boxonly", shards=4, join_strategy=strategy
+            ).run()
             assert answers_as_oid_tuples(answers, order) == reference
 
     def test_unknown_strategy_rejected(self):
         plan = self._plan(size=8)
-        with pytest.raises(ValueError):
-            build_physical_plan(plan, "boxplan", join_strategy="hashjoin")
+        for removed in ("hashjoin", "pbsm", "partition", "zorder"):
+            with pytest.raises(ValueError, match="expected one of"):
+                build_physical_plan(plan, "boxplan", join_strategy=removed)
+            with pytest.raises(ValueError, match="expected one of"):
+                build_physical_plan(
+                    plan, "boxplan", shards=2, join_strategy=removed
+                )
 
     def test_explicit_strategy_rejected_in_nonbox_modes(self):
         plan = self._plan(size=8)
         for mode in ("naive", "exact"):
             with pytest.raises(ValueError, match="box modes"):
-                build_physical_plan(plan, mode, join_strategy="pbsm")
+                build_physical_plan(
+                    plan, mode, shards=4, join_strategy="shardjoin"
+                )
             # The delegating 'auto' (and None) degrade quietly.
             build_physical_plan(plan, mode, join_strategy="auto")
-            build_physical_plan(plan, mode, partitions=4)
+            build_physical_plan(plan, mode, shards=4)
 
     def test_misshapen_strategy_options_rejected(self):
         plan = self._plan(size=8)  # three retrieval steps
         with pytest.raises(ValueError, match="3 retrieval steps"):
             build_physical_plan(
-                plan, "boxplan", join_strategy=["pbsm", "zorder"]
+                plan, "boxplan", shards=4,
+                join_strategy=["shardjoin", "shardscan"],
             )
         with pytest.raises(ValueError, match="unknown variables"):
             build_physical_plan(
-                plan, "boxplan", join_strategy={"NOPE": "pbsm"}
+                plan, "boxplan", shards=4,
+                join_strategy={"NOPE": "shardjoin"},
             )
         # A partial per-variable mapping is fine: the rest default.
         first = plan.order[0]
         pplan = build_physical_plan(
-            plan, "boxplan", join_strategy={first: "pbsm"}
+            plan, "boxplan", shards=4, join_strategy={first: "shardjoin"}
         )
-        assert pplan.join_strategies[0] == "pbsm"
-        assert set(pplan.join_strategies[1:]) == {"probe"}
+        assert pplan.join_strategies[0] == "shardjoin"
+        assert set(pplan.join_strategies[1:]) == {"shardscan"}
 
     def test_operator_classes_exported(self):
-        assert PartitionedSpatialJoin.kind == "PartitionedSpatialJoin"
-        assert ZOrderJoin.kind == "ZOrderJoin"
+        assert ShardScan.kind == "ShardScan"
+        assert ShardedJoin.kind == "ShardedJoin"
 
 
 class TestPlannerIntegration:
@@ -357,6 +376,10 @@ class TestPlannerIntegration:
         stats = t.statistics(partitions=6)
         assert stats.partitions
         assert sum(p.count for p in stats.partitions) == 90
+        # The summaries describe the table's sharding, tile for tile.
+        assert [(p.pid, p.count, p.mbr) for p in stats.partitions] == [
+            (s.sid, len(s), s.mbr) for s in t.sharding(6).shards
+        ]
         probe = BoxQuery(overlap=(Box((0, 0), (10, 10)),))
         assert 0.0 <= stats.pruned_count(probe) <= stats.count
         # A query touching everything prunes nothing.
@@ -375,18 +398,20 @@ class TestPlannerIntegration:
 
     def test_choose_join_strategies_shape_and_fallback(self):
         query = overlay_query(n_left=80, n_right=80, seed=3)
-        chosen = choose_join_strategies(
-            query, ["x", "y"], catalog=Catalog(), partitions=16
+        chosen = choose_shard_strategies(
+            query, ["x", "y"], catalog=Catalog(), shards=16
         )
         assert len(chosen) == 2
-        assert all(
-            s in ("probe", "partition", "pbsm", "zorder") for s in chosen
-        )
-        # Step 1 has a single probing tuple: bulk joins cannot win.
-        assert chosen[0] in ("probe", "partition")
+        assert all(s in SHARD_STRATEGIES for s in chosen)
+        # Step 1 has a single probing tuple: the bulk join cannot win.
+        assert chosen[0] == "shardscan"
 
     def test_bulk_join_picked_for_large_fanout(self):
-        """Many outer tuples probing a large table → a bulk join wins."""
-        query = overlay_query(n_left=400, n_right=400, seed=5)
-        chosen = choose_join_strategies(query, ["x", "y"], partitions=32)
-        assert chosen[1] in ("pbsm", "zorder")
+        """Many outer tuples probing a dense table → the bulk join wins."""
+        query = overlay_query(
+            n_left=400, n_right=400, seed=5, universe_side=20.0
+        )
+        chosen = choose_shard_strategies(
+            query, ["x", "y"], shards=8, workers=4
+        )
+        assert chosen == ("shardscan", "shardjoin")

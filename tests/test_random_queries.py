@@ -76,7 +76,7 @@ def test_streaming_equals_batch_on_random_queries(system, seed):
     constraint_systems(),
     st.integers(0, 10_000),
     st.integers(1, 7),
-    st.sampled_from(["pbsm", "partition", "zorder"]),
+    st.sampled_from(["shardscan", "shardjoin"]),
 )
 @settings(
     max_examples=25,
@@ -84,13 +84,13 @@ def test_streaming_equals_batch_on_random_queries(system, seed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_partitioned_plans_agree_with_all_modes(
-    system, seed, n_partitions, strategy
+    system, seed, n_shards, strategy
 ):
-    """The partitioned-plan extension of the four-mode equality: for any
-    partition count and join strategy, serial and parallel partitioned
-    plans return exactly the answer set of the classic modes, with
-    boundary duplicates deduplicated — and the parallel stream is
-    bit-identical to the serial one."""
+    """The sharded-plan extension of the four-mode equality: for any
+    shard count and shard strategy, serial and parallel sharded plans
+    return exactly the answer set of the classic modes, with no
+    duplicate answers — and the parallel stream is bit-identical to the
+    serial one."""
     from repro.engine import build_physical_plan
 
     tables, bindings = make_workload(seed, system=system)
@@ -111,7 +111,7 @@ def test_partitioned_plans_agree_with_all_modes(
                 plan,
                 mode,
                 estimate=False,
-                partitions=n_partitions,
+                shards=n_shards,
                 parallel=parallel,
                 join_strategy=strategy,
             )
@@ -121,11 +121,11 @@ def test_partitioned_plans_agree_with_all_modes(
             ]
             got = answers_as_oid_tuples(answers, order)
             assert got == reference_t, (
-                f"{mode}/{strategy}/partitions={n_partitions}/"
+                f"{mode}/{strategy}/shards={n_shards}/"
                 f"parallel={parallel} diverged for:\n{system}"
             )
             assert len(streams[parallel]) == len(set(streams[parallel])), (
-                "boundary duplicates leaked"
+                "duplicate answers leaked"
             )
         assert streams[3] == streams[0], "parallel stream != serial stream"
 

@@ -124,7 +124,7 @@ TOP_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("strategy", [None, "pbsm", "zorder"])
+@pytest.mark.parametrize("strategy", [None, "shardscan", "shardjoin"])
 @pytest.mark.parametrize("seed", [3, 11, 99])
 def test_vectorized_billing_matches_scalar(seed, strategy):
     tables, bindings = make_workload(
@@ -141,7 +141,7 @@ def test_vectorized_billing_matches_scalar(seed, strategy):
                 plan,
                 "boxplan",
                 estimate=False,
-                partitions=2,
+                shards=2 if strategy else 0,
                 join_strategy=strategy,
                 vectorize=vectorize,
             )

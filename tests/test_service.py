@@ -198,8 +198,10 @@ def test_run_over_the_wire_matches_local(served):
 def test_run_uniform_options_over_the_wire(served):
     _service, client, system = served
     full = client.run(system)
-    limited = client.run(system, limit=1, mode="exact", partitions=2)
+    limited = client.run(system, limit=1, mode="exact", shards=2)
     assert limited["count"] == min(1, full["count"])
+    sharded = client.run(system, shards=2, join_strategy="shardjoin")
+    assert sharded["count"] == full["count"]
 
 
 def test_explain_over_the_wire(served):
@@ -278,6 +280,53 @@ def test_error_mapping(served):
         client.run(system, bindings=["Z"])
     except ServiceError as exc:
         assert exc.status == 400
+
+
+def _raw_exchange(address, request: bytes) -> bytes:
+    """Send raw bytes, half-close, and read the reply until EOF."""
+    import socket
+
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _raw_status(reply: bytes) -> int:
+    return int(reply.split(b" ", 2)[1])
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"POST /run HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+        b"POST /run HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+        b"POST /run HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n{}",
+        b"POST /run HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]",
+        b"POST /run HTTP/1.1\r\nContent-Length: 1\r\n\r\n7",
+        b'POST /run HTTP/1.1\r\nContent-Length: 9\r\n\r\n{"a":"\xff"}',
+    ],
+    ids=["length-abc", "length-negative", "length-superscript",
+         "body-array", "body-number", "body-not-utf8"],
+)
+def test_malformed_requests_get_400_and_service_survives(
+    request_bytes, served
+):
+    """A bad Content-Length or a body that is not a JSON object is
+    answered with 400 (not dropped, not a 500), and the server keeps
+    answering afterwards."""
+    _service, client, _system = served
+    reply = _raw_exchange((client.host, client.port), request_bytes)
+    assert _raw_status(reply) == 400, reply
+    head, _sep, body = reply.partition(b"\r\n\r\n")
+    assert "error" in json.loads(body)
+    assert client.health()["ok"] is True
 
 
 def test_insert_over_the_wire_bumps_snapshot(served):

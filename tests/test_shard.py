@@ -372,3 +372,63 @@ class TestExchangeFallback:
             pool.close()
         assert got == serial
         assert exchange.fallbacks >= 1
+
+
+class TestStrategyValidation:
+    """Sharded and unsharded ``join_strategy`` share one validation
+    path, and ``PhysicalPlan.join_strategies`` names what runs."""
+
+    def _plan(self):
+        from repro.datagen import overlay_query
+        from repro.engine import compile_query
+
+        return compile_query(overlay_query(n_left=60, n_right=60, seed=4))
+
+    def _extend_kinds(self, pplan):
+        return tuple(ops.extend.kind for ops in pplan.step_ops)
+
+    def test_sequence_length_checked_when_sharded(self):
+        plan = self._plan()  # two retrieval steps: x, y
+        with pytest.raises(ValueError, match="2 retrieval steps"):
+            plan.physical("boxplan", shards=4, join_strategy=["shardjoin"])
+
+    def test_unknown_variable_checked_when_sharded(self):
+        plan = self._plan()
+        with pytest.raises(ValueError, match="unknown variables"):
+            plan.physical("boxplan", shards=4, join_strategy={"zz": "shardjoin"})
+
+    def test_names_checked_in_both_layouts(self):
+        plan = self._plan()
+        with pytest.raises(ValueError, match="shardscan"):
+            plan.physical("boxplan", shards=4, join_strategy="probe")
+        with pytest.raises(ValueError, match=r"\('probe',\)"):
+            plan.physical("boxplan", join_strategy="pbsm")
+        with pytest.raises(ValueError, match="requires sharded"):
+            plan.physical("boxplan", join_strategy=["probe", "shardjoin"])
+
+    def test_partial_mapping_labels_the_operators_that_run(self):
+        plan = self._plan()
+        first, second = plan.order
+        pplan = plan.physical(
+            "boxplan", shards=4, join_strategy={second: "shardjoin"}
+        )
+        assert self._extend_kinds(pplan) == ("ShardScan", "ShardedJoin")
+        assert pplan.join_strategies == ("shardscan", "shardjoin")
+        pplan.run()
+        assert f"joins: {first}=shardscan, {second}=shardjoin" in (
+            pplan.explain()
+        )
+
+    def test_auto_labels_match_operators(self):
+        plan = self._plan()
+        names = {"ShardScan": "shardscan", "ShardedJoin": "shardjoin"}
+        for strategy in (None, "auto", "shardjoin", "shardscan"):
+            pplan = plan.physical(
+                "boxplan", shards=4, join_strategy=strategy
+            )
+            assert pplan.join_strategies == tuple(
+                names[k] for k in self._extend_kinds(pplan)
+            )
+        unsharded = plan.physical("boxplan")
+        assert unsharded.join_strategies == ("probe", "probe")
+        assert self._extend_kinds(unsharded) == ("IndexProbe", "IndexProbe")

@@ -1,7 +1,7 @@
 """Snapshot save/load round-trips (ISSUE 6 satellite coverage).
 
 Every backend must round-trip bit-identically: answer sets, catalog
-statistics, and partitioning equal to the freshly built table's — and
+statistics, and the STR sharding equal to the freshly built table's — and
 for the r-tree, the reloaded node structure itself is compared
 node-for-node (so node-read counts match too, not just answers).
 """
@@ -36,7 +36,7 @@ def _saved_loaded(tmp_path, index, seed=3):
     query, _map = smugglers_query(index=index, seed=seed)
     for table in query.tables.values():
         table.statistics()
-        table.partitioning(4)
+        table.sharding(4)
     path = str(tmp_path / "db.json")
     write_snapshot(path, query.tables, query.bindings)
     tables, bindings = read_snapshot(path)
@@ -85,16 +85,17 @@ class TestRoundTrip:
             assert tables[key].statistics() == orig.statistics()
 
     def test_partitioning_bit_identical(self, tmp_path, index):
+        """The table's one STR tiling (its sharding) round-trips."""
         query, tables, _b, _p = _saved_loaded(tmp_path, index)
         for key, orig in query.tables.items():
-            po, pl = orig.partitioning(4), tables[key].partitioning(4)
-            assert po.target == pl.target
+            so, sl = orig.sharding(4), tables[key].sharding(4)
+            assert so.target == sl.target
             assert [
-                (p.pid, p.mbr, tuple(o.oid for o in p.rows))
-                for p in po.partitions
+                (s.sid, s.mbr, s.tags, tuple(o.oid for o in s.rows))
+                for s in so.shards
             ] == [
-                (p.pid, p.mbr, tuple(o.oid for o in p.rows))
-                for p in pl.partitions
+                (s.sid, s.mbr, s.tags, tuple(o.oid for o in s.rows))
+                for s in sl.shards
             ]
 
 
@@ -197,13 +198,77 @@ def test_database_open_matches_save(tmp_path):
     query, _map = smugglers_query(seed=5)
     db = Database(tables=query.tables, bindings=query.bindings)
     path = str(tmp_path / "db.json")
-    db.save(path, partitions=4)
+    db.save(path, shards=4)
     reopened = Database.open(path)
     assert set(reopened.tables) == set(db.tables)
     assert set(reopened.bindings) == set(db.bindings)
-    # save() pre-warmed statistics and partitioning: the reopened
-    # tables answer both without recomputation (cache keys match).
+    # save() pre-warmed statistics and sharding: the reopened tables
+    # answer both without recomputation (cache keys match).
     for key, table in reopened.tables.items():
         assert table._stats_version == table._version
-        assert table._partitioning_key == (table._version, 0, 4)
+        assert table._sharding_key == (table._version, 0, 4)
         assert table.statistics() == db.tables[key].statistics()
+
+
+def test_saved_sharding_builds_subtables_lazily(tmp_path, monkeypatch):
+    """Opening a saved sharding builds no shard sub-table; the first
+    ShardScan builds each probed shard's once, and the answers and
+    counters are bit-identical to the saved database's."""
+    from repro.spatial import shard as shard_mod
+
+    built = []
+    real_build = shard_mod._build_subtable
+
+    def counting_build(parent, sid, rows):
+        built.append((parent.name, sid))
+        return real_build(parent, sid, rows)
+
+    monkeypatch.setattr(shard_mod, "_build_subtable", counting_build)
+    query, _map = smugglers_query(seed=5)
+    db = Database(tables=query.tables, bindings=query.bindings)
+    path = str(tmp_path / "db.json")
+    db.save(path, shards=4)
+    assert built == []  # saving ships membership, not sub-tables
+    reopened = Database.open(path)
+    assert built == []  # and loading rebuilds none
+    text = str(query.system)
+    options = dict(shards=4, join_strategy="shardscan")
+    got = reopened.session().run(text, **options)
+    assert built  # the first ShardScan built the shards it probed
+    first_pass = list(built)
+    expected = db.session().run(text, **options)
+    assert got.oid_tuples() == expected.oid_tuples(got.order)
+    assert got.stats.to_dict() == expected.stats.to_dict()
+    before = len(built)
+    again = reopened.session().run(text, **options)
+    assert len(built) == before  # built once, then reused
+    assert again.oid_tuples() == got.oid_tuples()
+    assert len(set(first_pass)) == len(first_pass)
+
+
+def test_snapshot_with_legacy_partitioning_section_opens(tmp_path):
+    """Snapshots written before the tiling merge carry a
+    ``"partitioning"`` section (ignored, not misparsed) and shard
+    membership without MBRs (recomputed to the same boxes)."""
+    query, _map = smugglers_query(seed=2)
+    path = str(tmp_path / "db.json")
+    Database(tables=query.tables, bindings=query.bindings).save(
+        path, shards=3
+    )
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for data in payload["tables"].values():
+        data["partitioning"] = {
+            "target": 2,
+            "partitions": [{"pid": 0, "mbr": None, "rows": [0]}],
+        }
+        del data["sharding"]["mbrs"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    reopened = Database.open(path)
+    for key, table in reopened.tables.items():
+        orig = query.tables[key]
+        assert [o.oid for o in table] == [o.oid for o in orig]
+        assert [s.mbr for s in table.sharding(3).shards] == [
+            s.mbr for s in orig.sharding(3).shards
+        ]

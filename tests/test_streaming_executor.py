@@ -12,7 +12,6 @@ from repro.engine import (
     compile_query,
     execute,
     execute_iter,
-    first_k,
 )
 from repro.spatial import SpatialTable
 
@@ -87,7 +86,7 @@ class TestStreamingExecutor:
         plan = compile_query(q)
         all_answers, _ = execute(plan, "boxplan")
         assert len(all_answers) >= 2
-        got = first_k(plan, 2)
+        got = list(execute_iter(plan, "boxplan", limit=2))
         assert len(got) == 2
         full = {
             t
@@ -103,7 +102,7 @@ class TestStreamingExecutor:
         plan = compile_query(q)
         for t in q.tables.values():
             t.reset_stats()
-        first_k(plan, 1)
+        list(execute_iter(plan, "boxplan", limit=1))
         probes_first = sum(t.probes for t in q.tables.values())
         for t in q.tables.values():
             t.reset_stats()
